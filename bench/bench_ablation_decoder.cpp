@@ -42,22 +42,33 @@ ROS_BENCH_OPTS(ablation_decoder, 2, 0) {
   // ground-bounce baseline; both arms run identically in full mode.
   double full_snr_db = 0.0;
   int full_decoded = 0;
-  double no_switching_snr_db = 0.0;
-  {
-    const auto r =
-        bench::measure_snr(cluttered(true), bench::drive(), bits, cfg, 2);
-    table.add_row("full_system", {r.snr_db, r.all_correct ? 1.0 : 0.0});
-    full_snr_db = r.snr_db;
-    full_decoded = r.all_correct ? 1 : 0;
-  }
+  double rejection_gain_db = 0.0;
   {
     // Without polarization switching the decode channel only carries
-    // leakage and the clutter is not rejected.
-    const auto r =
-        bench::measure_snr(cluttered(false), bench::drive(), bits, cfg, 2);
-    table.add_row("no_polarization_switching",
-                  {r.snr_db, r.all_correct ? 1.0 : 0.0});
-    no_switching_snr_db = r.snr_db;
+    // leakage and the clutter is not rejected. Its SNR estimate divides
+    // by a class-mean gap near zero, so one two-drive estimate swings by
+    // tens of dB with the noise seed whatever the noise generator; the
+    // gain is the median over independent seed bases instead.
+    const auto on = cluttered(true);
+    const auto off = cluttered(false);
+    std::vector<double> gains;
+    for (std::uint64_t base : {1000, 2000, 3000, 4000, 5000}) {
+      const auto r_on =
+          bench::measure_snr(on, bench::drive(), bits, cfg, 2, base);
+      const auto r_off =
+          bench::measure_snr(off, bench::drive(), bits, cfg, 2, base);
+      if (gains.empty()) {
+        table.add_row("full_system",
+                      {r_on.snr_db, r_on.all_correct ? 1.0 : 0.0});
+        table.add_row("no_polarization_switching",
+                      {r_off.snr_db, r_off.all_correct ? 1.0 : 0.0});
+        full_snr_db = r_on.snr_db;
+        full_decoded = r_on.all_correct ? 1 : 0;
+      }
+      gains.push_back(r_on.snr_db - r_off.snr_db);
+    }
+    std::nth_element(gains.begin(), gains.begin() + 2, gains.end());
+    rejection_gain_db = gains[2];
   }
   if (!ctx.quick()) {
     {
@@ -211,8 +222,8 @@ ROS_BENCH_OPTS(ablation_decoder, 2, 0) {
                "scene with margin");
   ctx.fidelity("full_system_decoded", static_cast<double>(full_decoded),
                1.0, 1.0, "Ablation baseline: error-free decode");
-  ctx.fidelity("polarization_rejection_gain_db",
-               full_snr_db - no_switching_snr_db, 15.0, 40.0,
+  ctx.fidelity("polarization_rejection_gain_db", rejection_gain_db, 15.0,
+               40.0,
                "Ablation 1: polarization switching is what rejects the "
                "clutter (~27 dB SNR swing)");
   ctx.fidelity("decoder_backends_bit_identical_clean",

@@ -107,6 +107,10 @@ ROS_BENCH(perf_kernels) {
        [n](const rs::Ops& o, KernelBuffers& k) {
          o.tone_acc(k.acc.data(), 1e-3, 0.37, 0.011, n);
        }},
+      {"gauss_acc",
+       [n](const rs::Ops& o, KernelBuffers& k) {
+         o.gauss_acc(k.acc.data(), 1e-3, 0x5EEDull, 0, n);
+       }},
       {"axpby",
        [n](const rs::Ops& o, KernelBuffers& k) {
          o.axpby(1.1, k.a.data(), -0.9, k.b.data(), k.out1.data(), n);

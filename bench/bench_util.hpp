@@ -307,14 +307,15 @@ inline SnrResult measure_snr(const ros::scene::Scene& world,
                              const ros::scene::StraightDrive& drv,
                              const std::vector<bool>& bits,
                              ros::pipeline::InterrogatorConfig config,
-                             int n_trials = 3) {
+                             int n_trials = 3,
+                             std::uint64_t seed_base = 1000) {
   std::vector<double> ones;
   std::vector<double> zeros;
   SnrResult out;
   double rss_w = 0.0;
   ros::common::Rng jitter(99);
   for (int t = 0; t < n_trials; ++t) {
-    config.noise_seed = 1000 + 17 * static_cast<std::uint64_t>(t);
+    config.noise_seed = seed_base + 17 * static_cast<std::uint64_t>(t);
     // Per-trial geometry jitter, emulating repeated real drive-bys
     // (mounting tolerance, lateral wander, tag sway).
     auto params = drv.params();

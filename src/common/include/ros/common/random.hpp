@@ -40,10 +40,6 @@ class Rng {
   /// Standard normal scaled: N(mean, stddev^2).
   double normal(double mean = 0.0, double stddev = 1.0);
 
-  /// Circularly symmetric complex Gaussian with total power
-  /// E[|x|^2] = `power` (i.e. each quadrature has variance power/2).
-  cplx complex_gaussian(double power);
-
   /// Bernoulli draw with probability `p` of true.
   bool bernoulli(double p);
 

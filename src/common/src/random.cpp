@@ -34,12 +34,6 @@ double Rng::normal(double mean, double stddev) {
   return std::normal_distribution<double>(mean, stddev)(engine_);
 }
 
-cplx Rng::complex_gaussian(double power) {
-  ROS_EXPECT(power >= 0.0, "noise power must be non-negative");
-  const double sigma = std::sqrt(power / 2.0);
-  return {normal(0.0, sigma), normal(0.0, sigma)};
-}
-
 bool Rng::bernoulli(double p) {
   ROS_EXPECT(p >= 0.0 && p <= 1.0, "probability must be in [0,1]");
   return std::bernoulli_distribution(p)(engine_);

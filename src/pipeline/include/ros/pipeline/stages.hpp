@@ -111,8 +111,8 @@ class FrameStage {
   std::uint64_t stream_seed(std::size_t i) const;
 
   /// Full mode: synthesize both Tx passes, range-FFT both, detect in
-  /// both. RNG draw order (returns normal, returns switched, noise
-  /// normal, noise switched) is part of the bit-identity contract.
+  /// both. RNG draw order (returns normal, returns switched, noise key
+  /// normal, noise key switched) is part of the bit-identity contract.
   void run_full(const ros::scene::RadarPose& pose, std::size_t i,
                 FrameArtifacts& out) const;
 

@@ -83,9 +83,9 @@ void FrameStage::run_full(const ros::scene::RadarPose& pose,
   Rng rng(stream_seed(i));
   FrameWorkspace& ws = FrameWorkspace::thread_local_workspace();
 
-  // RNG draw order (returns normal, returns switched, noise normal,
-  // noise switched) is the bit-identity contract between the batch and
-  // streaming paths — both call this exact function.
+  // RNG draw order (returns normal, returns switched, noise key normal,
+  // noise key switched) is the bit-identity contract between the batch
+  // and streaming paths — both call this exact function.
   ros::obs::ScopedTimer t_synth(synth_label_, "pipeline");
   scene_->frame_returns_into(pose, ros::radar::TxMode::normal,
                              config_->array, config_->budget, fc_, rng,

@@ -3,7 +3,8 @@
 // Each reflector visible to the radar contributes a dechirped complex
 // tone at its beat frequency, with a carrier phase set by the round-trip
 // range and a per-Rx-antenna phase set by its angle of arrival. Thermal
-// noise is added per sample. This is the waveform-level substitute for
+// noise is added per sample, from a counter-keyed stream (one key per
+// frame). This is the waveform-level substitute for
 // the physical TI radar front end.
 #pragma once
 
@@ -43,7 +44,9 @@ class WaveformSynthesizer {
   const RadarArray& array() const { return array_; }
 
   /// Synthesize one frame from the given returns, adding circularly
-  /// symmetric Gaussian noise of `noise_power_w` per sample.
+  /// symmetric Gaussian noise of `noise_power_w` per sample. Noise
+  /// takes exactly one 64-bit draw from `rng` (the simd::gauss_acc
+  /// key), and none when `noise_power_w` is zero.
   FrameCube synthesize(std::span<const ScatterReturn> returns,
                        double noise_power_w, ros::common::Rng& rng) const;
 

@@ -60,10 +60,12 @@ void WaveformSynthesizer::synthesize_into(
   }
 
   if (noise_power_w > 0.0) {
+    // One key per frame from the caller's stream. A sample takes two
+    // counters, so Rx k owns counters [2k*n_s, 2(k+1)*n_s) of the key.
+    const std::uint64_t key = rng.engine()();
+    const auto& gauss = ros::simd::ops().gauss_acc;
     for (std::size_t k = 0; k < n_rx; ++k) {
-      for (std::size_t i = 0; i < n_s; ++i) {
-        frame[k][i] += rng.complex_gaussian(noise_power_w);
-      }
+      gauss(frame[k].data(), noise_power_w, key, 2 * k * n_s, n_s);
     }
   }
 }

@@ -2,8 +2,9 @@
 //
 // One small fixed vocabulary of vector operations (batched sincos,
 // complex exponentials, fused complex multiply-accumulate over
-// structure-of-arrays spans, horizontal reductions, and the radix-2 FFT
-// butterfly) behind a single dispatch table. Backends:
+// structure-of-arrays spans, horizontal reductions, the radix-2 FFT
+// butterfly, and counter-keyed complex Gaussian noise) behind a single
+// dispatch table. Backends:
 //
 //   scalar  the bit-exact reference: strict index-order loops over libm
 //           (std::sin/std::cos). Always compiled, always available.
@@ -38,7 +39,9 @@
 //         (amplitude scale) -- see conformance tests for the exact
 //         oracle per op;
 //       - fft_butterfly: each output within kButterflyRelTol relative
-//         of the scalar result (FMA contraction reorders roundings).
+//         of the scalar result (FMA contraction reorders roundings);
+//       - gauss_acc: each added sample within kGaussRelTol of the
+//         scalar sample's magnitude (vector log + sincos polynomials).
 //   * Rounding-level differences must never change a rosbench fidelity
 //     scorecard: the CI dispatch matrix runs the full suite and
 //     rosbench under ROS_SIMD=scalar and native and diffs the
@@ -51,6 +54,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -67,6 +71,13 @@ inline constexpr double kReduceRelTol = 1e-16;
 
 /// Relative tolerance for fft_butterfly outputs vs scalar.
 inline constexpr double kButterflyRelTol = 1e-14;
+
+/// Per-quadrature tolerance of a vector gauss_acc sample vs the scalar
+/// one, relative to the scalar sample's magnitude sqrt(-power*ln u1).
+/// Budget: kSinCosAbsTol on the unit phasor, plus the vector log's
+/// ~1 ulp against libm (halved by the sqrt) and the final multiply's
+/// rounding. Measured worst case over 2^20 samples: 4.4e-16.
+inline constexpr double kGaussRelTol = 2e-15;
 
 /// Largest |phase| the vector argument reduction handles; beyond it the
 /// vector backends compute the affected lanes with libm.
@@ -123,6 +134,17 @@ struct Ops {
   /// (the FMCW tone-synthesis kernel).
   void (*tone_acc)(cplx* acc, double amp, double phase0, double dphase,
                    std::size_t n);
+
+  /// acc[i] += sqrt(-power*ln u1) * e^{j*2*pi*u2}: circularly symmetric
+  /// complex Gaussian noise of total power `power` (variance power/2
+  /// per quadrature), by Box-Muller with both quadratures used. The
+  /// uniforms of sample i come from the counter-based SplitMix64 stream
+  /// `key`: x_c = splitmix64(key + (c+1)*0x9E3779B97F4A7C15) at
+  /// c = first+2i (u1) and c = first+2i+1 (u2), mapped to
+  /// u = ((x>>11) + 0.5) * 2^-53. A sample is a pure function of
+  /// (power, key, counter): the same bits at any n, offset or lane.
+  void (*gauss_acc)(cplx* acc, double power, std::uint64_t key,
+                    std::uint64_t first, std::size_t n);
 
   /// sum_i x[i].
   double (*sum)(const double* x, std::size_t n);

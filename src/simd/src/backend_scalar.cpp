@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "backends.hpp"
+#include "ros/common/random.hpp"
 
 namespace ros::simd::detail {
 
@@ -94,6 +95,20 @@ void s_tone_acc(cplx* acc, double amp, double phase0, double dphase,
   }
 }
 
+void s_gauss_acc(cplx* acc, double power, std::uint64_t key,
+                 std::uint64_t first, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t c = first + 2 * i;
+    const double u1 =
+        unit_open(common::splitmix64(key + c * kSplitMixGamma));
+    const double u2 =
+        unit_open(common::splitmix64(key + (c + 1) * kSplitMixGamma));
+    const double r = std::sqrt(-power * std::log(u1));
+    const double theta = kTwoPi * u2;
+    acc[i] += cplx{r * std::cos(theta), r * std::sin(theta)};
+  }
+}
+
 double s_sum(const double* x, std::size_t n) {
   double acc = 0.0;
   for (std::size_t i = 0; i < n; ++i) acc += x[i];
@@ -136,7 +151,8 @@ const Ops& scalar_ops() {
       "scalar",    Backend::scalar, &s_sincos,   &s_cexp,
       &s_linear_phase, &s_scale,    &s_axpby,    &s_cexp_madd,
       &s_cmul_acc, &s_phase_mac,    &s_cexp_sum, &s_tone_acc,
-      &s_sum,      &s_dot,          &s_csum,     &s_fft_butterfly,
+      &s_gauss_acc, &s_sum,         &s_dot,      &s_csum,
+      &s_fft_butterfly,
   };
   return table;
 }

@@ -64,21 +64,6 @@ TEST(Random, NormalMoments) {
   EXPECT_NEAR(var, 9.0, 0.4);
 }
 
-TEST(Random, ComplexGaussianPower) {
-  rc::Rng rng(13);
-  const double p = 2.5;
-  double sum = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) sum += std::norm(rng.complex_gaussian(p));
-  EXPECT_NEAR(sum / n, p, 0.1);
-}
-
-TEST(Random, ComplexGaussianZeroPower) {
-  rc::Rng rng(5);
-  const auto z = rng.complex_gaussian(0.0);
-  EXPECT_DOUBLE_EQ(std::abs(z), 0.0);
-}
-
 TEST(Random, BernoulliFrequency) {
   rc::Rng rng(17);
   int hits = 0;
@@ -116,7 +101,6 @@ TEST(Random, InvalidArgumentsThrow) {
   rc::Rng rng(1);
   EXPECT_THROW(rng.uniform(1.0, 0.0), std::invalid_argument);
   EXPECT_THROW(rng.normal(0.0, -1.0), std::invalid_argument);
-  EXPECT_THROW(rng.complex_gaussian(-0.5), std::invalid_argument);
   EXPECT_THROW(rng.bernoulli(1.5), std::invalid_argument);
 }
 

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "ros/common/angles.hpp"
 #include "ros/common/mathx.hpp"
 #include "ros/common/units.hpp"
 #include "ros/dsp/fft.hpp"
+#include "ros/radar/processing.hpp"
 
 namespace rr = ros::radar;
 namespace rc = ros::common;
@@ -129,6 +132,195 @@ TEST(Waveform, SuperpositionOfTwoReturns) {
   const double bin_b = c.beat_frequency_hz(5.0) / (c.sample_rate_hz / 256);
   EXPECT_GT(mag[static_cast<std::size_t>(std::lround(bin_a))], 100.0);
   EXPECT_GT(mag[static_cast<std::size_t>(std::lround(bin_b))], 100.0);
+}
+
+// --- noise statistics ------------------------------------------------
+//
+// The noise contract is statistical, not a bit pattern: every moment
+// below is checked over >= 1e5 samples against a 5-sigma band of its
+// estimator, so they hold on every SIMD backend, whose bits differ.
+
+namespace {
+
+constexpr double kNoiseP = 2e-9;   // [W], a typical link-budget floor
+constexpr std::size_t kFrames = 64;  // 64 x 8 Rx x 256 = 131072 samples
+
+/// kFrames noise-only frames from one Rng, as a frame loop draws them.
+std::vector<rr::FrameCube> noise_frames(std::uint64_t seed) {
+  const auto synth = make_synth();
+  rc::Rng rng(seed);
+  std::vector<rr::FrameCube> frames(kFrames);
+  for (auto& f : frames) synth.synthesize_into({}, kNoiseP, rng, f);
+  return frames;
+}
+
+template <typename Fn>
+void for_each_sample(const std::vector<rr::FrameCube>& frames, Fn fn) {
+  for (const auto& f : frames) {
+    for (const auto& chan : f) {
+      for (const rc::cplx& z : chan) fn(z);
+    }
+  }
+}
+
+}  // namespace
+
+TEST(WaveformNoise, ZeroMeanAndQuadratureVariance) {
+  const auto frames = noise_frames(21);
+  double n = 0.0;
+  double sr = 0.0, si = 0.0, srr = 0.0, sii = 0.0;
+  for_each_sample(frames, [&](rc::cplx z) {
+    n += 1.0;
+    sr += z.real();
+    si += z.imag();
+    srr += z.real() * z.real();
+    sii += z.imag() * z.imag();
+  });
+  ASSERT_GE(n, 1e5);
+  const double var = kNoiseP / 2.0;  // per quadrature
+  // Mean: sigma/sqrt(n). Variance estimate: var * sqrt(2/n).
+  const double mean_band = 5.0 * std::sqrt(var / n);
+  EXPECT_NEAR(sr / n, 0.0, mean_band);
+  EXPECT_NEAR(si / n, 0.0, mean_band);
+  const double var_band = 5.0 * var * std::sqrt(2.0 / n);
+  EXPECT_NEAR(srr / n, var, var_band);
+  EXPECT_NEAR(sii / n, var, var_band);
+}
+
+TEST(WaveformNoise, Circular) {
+  // E[z^2] = E[x^2 - y^2] + 2j E[xy] = 0; each part has variance
+  // 4 var^2 per sample.
+  const auto frames = noise_frames(22);
+  double n = 0.0;
+  rc::cplx s2{0.0, 0.0};
+  for_each_sample(frames, [&](rc::cplx z) {
+    n += 1.0;
+    s2 += z * z;
+  });
+  const double var = kNoiseP / 2.0;
+  const double band = 5.0 * 2.0 * var / std::sqrt(n);
+  EXPECT_NEAR(s2.real() / n, 0.0, band);
+  EXPECT_NEAR(s2.imag() / n, 0.0, band);
+}
+
+TEST(WaveformNoise, GaussianTails) {
+  // Excess kurtosis of each quadrature: 0 for a Gaussian, with
+  // standard error sqrt(24/n). A rejection-free generator with a bad
+  // log or radius would show up here first.
+  const auto frames = noise_frames(23);
+  double n = 0.0;
+  double s2r = 0.0, s4r = 0.0, s2i = 0.0, s4i = 0.0;
+  for_each_sample(frames, [&](rc::cplx z) {
+    n += 1.0;
+    const double xr = z.real() * z.real();
+    const double xi = z.imag() * z.imag();
+    s2r += xr;
+    s4r += xr * xr;
+    s2i += xi;
+    s4i += xi * xi;
+  });
+  const double band = 5.0 * std::sqrt(24.0 / n);
+  EXPECT_NEAR((s4r / n) / ((s2r / n) * (s2r / n)) - 3.0, 0.0, band);
+  EXPECT_NEAR((s4i / n) / ((s2i / n) * (s2i / n)) - 3.0, 0.0, band);
+}
+
+TEST(WaveformNoise, RxChannelsUncorrelated) {
+  // rho = E[z_a conj(z_b)] / P for every Rx pair; each component of the
+  // estimate has standard error sqrt(1/(2m)) over m sample pairs.
+  const auto frames = noise_frames(24);
+  const std::size_t n_rx = frames[0].size();
+  const std::size_t n_s = frames[0][0].size();
+  const double m = static_cast<double>(kFrames * n_s);
+  const double band = 5.0 * std::sqrt(1.0 / (2.0 * m));
+  for (std::size_t a = 0; a < n_rx; ++a) {
+    for (std::size_t b = a + 1; b < n_rx; ++b) {
+      rc::cplx acc{0.0, 0.0};
+      for (const auto& f : frames) {
+        for (std::size_t i = 0; i < n_s; ++i) {
+          acc += f[a][i] * std::conj(f[b][i]);
+        }
+      }
+      const rc::cplx rho = acc / (m * kNoiseP);
+      EXPECT_NEAR(rho.real(), 0.0, band) << "rx " << a << "," << b;
+      EXPECT_NEAR(rho.imag(), 0.0, band) << "rx " << a << "," << b;
+    }
+  }
+  // Each Rx draws its own counters: no sample of a frame repeats
+  // anywhere else in it (overlapping counter ranges would).
+  std::vector<double> re;
+  for (const auto& chan : frames[0]) {
+    for (const rc::cplx& z : chan) re.push_back(z.real());
+  }
+  std::sort(re.begin(), re.end());
+  EXPECT_EQ(std::adjacent_find(re.begin(), re.end()), re.end());
+}
+
+TEST(WaveformNoise, FlatRangeSpectrum) {
+  // White noise stays white through the windowed range FFT: every bin's
+  // mean power, over kFrames x 8 Rx exponential variates, sits within
+  // 5/sqrt(m) (relative) of the all-bin mean.
+  const auto frames = noise_frames(25);
+  const auto synth = make_synth();
+  rr::RangeProfile profile;
+  std::vector<double> bin_power;
+  double m = 0.0;
+  for (const auto& f : frames) {
+    rr::range_fft_into(f, synth.chirp(), ros::dsp::Window::hann, profile);
+    bin_power.resize(profile.n_bins(), 0.0);
+    for (const auto& chan : profile.bins) {
+      for (std::size_t b = 0; b < chan.size(); ++b) {
+        bin_power[b] += std::norm(chan[b]);
+      }
+      m += 1.0;
+    }
+  }
+  ASSERT_FALSE(bin_power.empty());
+  double mean = 0.0;
+  for (double p : bin_power) mean += p;
+  mean /= static_cast<double>(bin_power.size());
+  ASSERT_GT(mean, 0.0);
+  const double band = 5.0 / std::sqrt(m);
+  for (std::size_t b = 0; b < bin_power.size(); ++b) {
+    EXPECT_NEAR(bin_power[b] / mean, 1.0, band) << "bin " << b;
+  }
+}
+
+TEST(WaveformNoise, RngDrawsOneKeyOrNothing) {
+  const auto synth = make_synth();
+  rr::ScatterReturn r;
+  r.amplitude = 1e-3;
+  r.range_m = 3.0;
+  const std::vector<rr::ScatterReturn> returns{r};
+
+  // Zero power: the noise-free tone, and the Rng is untouched.
+  rc::Rng quiet(9);
+  rr::FrameCube frame = synth.synthesize({}, 0.0, quiet);
+  for (const auto& chan : frame) {
+    for (const auto& v : chan) EXPECT_EQ(v, rc::cplx(0.0, 0.0));
+  }
+  const auto tone = synth.synthesize(returns, 0.0, quiet);
+  rc::Rng fresh(9);
+  EXPECT_EQ(quiet.engine()(), fresh.engine()());
+
+  // Positive power: exactly one 64-bit draw per frame.
+  rc::Rng noisy(9);
+  (void)synth.synthesize(returns, kNoiseP, noisy);
+  rc::Rng skip(9);
+  (void)skip.engine()();
+  EXPECT_EQ(noisy.engine()(), skip.engine()());
+
+  // And the noise adds onto the tone rather than replacing it.
+  rc::Rng again(9);
+  const auto noisy_frame = synth.synthesize(returns, kNoiseP, again);
+  double resid = 0.0;
+  for (std::size_t k = 0; k < tone.size(); ++k) {
+    for (std::size_t i = 0; i < tone[k].size(); ++i) {
+      resid += std::norm(noisy_frame[k][i] - tone[k][i]);
+    }
+  }
+  const double per_sample =
+      resid / static_cast<double>(tone.size() * tone[0].size());
+  EXPECT_NEAR(per_sample, kNoiseP, 0.25 * kNoiseP);
 }
 
 TEST(Waveform, InvalidNoiseThrows) {

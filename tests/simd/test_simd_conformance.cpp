@@ -296,6 +296,119 @@ TEST(SimdConformance, ToneAccWithinElementTol) {
   }
 }
 
+namespace {
+
+/// gauss_acc into a zeroed buffer: the samples themselves.
+std::vector<cplx> gauss_samples(const rs::Ops& ops, double power,
+                                std::uint64_t key, std::uint64_t first,
+                                std::size_t n) {
+  std::vector<cplx> out(n);
+  ops.gauss_acc(out.data(), power, key, first, n);
+  return out;
+}
+
+bool bit_equal(cplx a, cplx b) {
+  return bit_equal(a.real(), b.real()) && bit_equal(a.imag(), b.imag());
+}
+
+}  // namespace
+
+TEST(SimdConformance, GaussAccScalarMatchesStreamDefinition) {
+  // Pins the documented stream: u from the standard SplitMix64 sequence
+  // (common::splitmix64 adds the gamma before mixing, so it is output c
+  // when fed key + c*gamma), Box-Muller radius and angle in libm.
+  const std::uint64_t gamma = 0x9E3779B97F4A7C15ull;
+  const auto unit = [](std::uint64_t x) {
+    return (static_cast<double>(x >> 11) + 0.5) * 0x1p-53;
+  };
+  const std::uint64_t key = 0xC0FFEEull;
+  const std::uint64_t first = 11;
+  const double power = 3.5;
+  std::vector<cplx> acc(9, cplx{0.25, -1.0});
+  ref().gauss_acc(acc.data(), power, key, first, acc.size());
+  for (std::size_t i = 0; i < acc.size(); ++i) {
+    const std::uint64_t c = first + 2 * i;
+    const double u1 = unit(ros::common::splitmix64(key + c * gamma));
+    const double u2 = unit(ros::common::splitmix64(key + (c + 1) * gamma));
+    const double r = std::sqrt(-power * std::log(u1));
+    const double theta = 2.0 * ros::common::kPi * u2;
+    const cplx want =
+        cplx{0.25, -1.0} + cplx{r * std::cos(theta), r * std::sin(theta)};
+    EXPECT_TRUE(bit_equal(acc[i], want)) << "i=" << i;
+  }
+}
+
+TEST(SimdConformance, GaussAccWithinRelTol) {
+  Rng rng(110);
+  for (rs::Backend b : vector_backends()) {
+    const rs::Ops& ops = rs::backend_ops(b);
+    for (std::size_t n : kSizes) {
+      const std::uint64_t key = rng.engine()();
+      // Any start counter, including odd ones and ones that wrap.
+      const std::uint64_t first =
+          n % 3 == 0 ? ~std::uint64_t{0} - 5 : rng.engine()();
+      const double power = std::pow(10.0, rng.uniform(-14.0, 2.0));
+      const auto z0 = gauss_samples(ref(), power, key, first, n);
+      const auto z1 = gauss_samples(ops, power, key, first, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double tol = rs::kGaussRelTol * std::abs(z0[i]);
+        EXPECT_NEAR(z1[i].real(), z0[i].real(), tol)
+            << ops.name << " i=" << i << " n=" << n;
+        EXPECT_NEAR(z1[i].imag(), z0[i].imag(), tol)
+            << ops.name << " i=" << i << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(SimdConformance, GaussAccIsLanePositionIndependent) {
+  // The sample at a counter is the same bits whatever n, the offset of
+  // the call, or whether it lands in the vector body or the tail.
+  Rng rng(111);
+  for (rs::Backend b : rs::available_backends()) {
+    const rs::Ops& ops = rs::backend_ops(b);
+    const std::size_t n = 37;
+    const std::uint64_t key = rng.engine()();
+    const std::uint64_t first = rng.engine()() | 1;  // odd start
+    const auto full = gauss_samples(ops, 0.7, key, first, n);
+    for (std::size_t j = 0; j < n; ++j) {
+      // Starting at sample j: element i - j must equal full[i].
+      const auto shifted = gauss_samples(ops, 0.7, key, first + 2 * j, n - j);
+      for (std::size_t i = j; i < n; ++i) {
+        EXPECT_TRUE(bit_equal(shifted[i - j], full[i]))
+            << ops.name << " sample " << i << " from offset " << j;
+      }
+      // A prefix of length j + 1 puts sample j in whatever tail lane.
+      const auto prefix = gauss_samples(ops, 0.7, key, first, j + 1);
+      EXPECT_TRUE(bit_equal(prefix[j], full[j]))
+          << ops.name << " sample " << j << " at n=" << j + 1;
+    }
+  }
+}
+
+TEST(SimdConformance, GaussAccIsDeterministicPerKey) {
+  for (rs::Backend b : rs::available_backends()) {
+    const rs::Ops& ops = rs::backend_ops(b);
+    const auto a = gauss_samples(ops, 1.0, 42, 0, 64);
+    const auto again = gauss_samples(ops, 1.0, 42, 0, 64);
+    const auto other = gauss_samples(ops, 1.0, 43, 0, 64);
+    std::size_t same = 0;
+    std::size_t collide = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      same += bit_equal(a[i], again[i]);
+      collide += bit_equal(a[i], other[i]);
+    }
+    EXPECT_EQ(same, a.size()) << ops.name;
+    EXPECT_EQ(collide, 0u) << ops.name;
+    // Accumulates: a second call adds a second draw onto the first.
+    auto acc = a;
+    ops.gauss_acc(acc.data(), 1.0, 42, 0, acc.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_TRUE(bit_equal(acc[i], a[i] + a[i])) << ops.name << " i=" << i;
+    }
+  }
+}
+
 TEST(SimdConformance, ReductionsWithinReassociationBound) {
   Rng rng(107);
   for (rs::Backend b : vector_backends()) {
