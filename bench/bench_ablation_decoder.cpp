@@ -3,17 +3,16 @@
 //   (2) envelope whitening on/off,
 //   (3) bin-averaged vs interpolated resampling,
 //   (4) beam shaping on/off at a realistic height offset,
-//   (5) decoder head-to-head: fft window search vs codebook matched
-//       filter on the identical spotlighted series — per-read latency,
-//       empirical bit errors near the noise cliff, and the bit-identity
-//       fidelity law at clean SNR (DESIGN.md §10).
+//   (5) the FFT decoder on the clean spotlighted series — per-read
+//       latency, empirical bit errors near the noise cliff, and a
+//       correct decode at clean SNR.
 #include "bench_util.hpp"
 
 #include <algorithm>
 
 #include "ros/pipeline/rcs_sampler.hpp"
 #include "ros/scene/objects.hpp"
-#include "ros/tag/codebook.hpp"
+#include "ros/tag/codec.hpp"
 
 ROS_BENCH_OPTS(ablation_decoder, 2, 0) {
   using namespace ros;
@@ -128,51 +127,38 @@ ROS_BENCH_OPTS(ablation_decoder, 2, 0) {
   }
   bench::print(ctx, ground);
 
-  // ---- Decoder head-to-head: fft vs codebook matched filter ----
-  // Both backends decode the exact same spotlighted series, so latency
-  // and bit decisions are directly comparable. The codebook build is
-  // paid once at construction (cache-miss path), never per read.
+  // ---- FFT decoder: latency and bit errors near the noise cliff ----
   const scene::Scene clean_world = bench::tag_scene(bits);
   const auto clean_run =
       pipeline::decode_drive(clean_world, bench::drive(), {0.0, 0.0}, cfg);
   const auto series = pipeline::to_decoder_series(clean_run.samples);
 
-  const tag::SpatialDecoder fft_decoder(cfg.decoder);
-  const tag::CodebookDecoder cb_decoder(cfg.decoder);
-  const auto fft_clean = fft_decoder.decode(series.u, series.rss_linear);
-  const auto cb_clean = cb_decoder.decode(series.u, series.rss_linear);
+  const tag::SpatialDecoder decoder(cfg.decoder);
+  const auto fft_clean = decoder.decode(series.u, series.rss_linear);
 
-  const auto read_us = [&](const auto& decoder) {
-    obs::BenchRunOptions t;
-    t.warmup = 1;
-    t.reps = 9;
-    t.collect_perf_counters = false;
-    constexpr int kReadsPerRep = 16;
-    const auto timing = obs::run_timed(
-        [&] {
-          for (int i = 0; i < kReadsPerRep; ++i) {
-            auto d = decoder.decode(series.u, series.rss_linear);
-            bench::do_not_optimize(d);
-          }
-        },
-        t);
-    return timing.wall_ms.median * 1000.0 / kReadsPerRep;
-  };
-  const double fft_us = read_us(fft_decoder);
-  const double cb_us = read_us(cb_decoder);
+  obs::BenchRunOptions opts;
+  opts.warmup = 1;
+  opts.reps = 9;
+  opts.collect_perf_counters = false;
+  constexpr int kReadsPerRep = 16;
+  const auto timing = obs::run_timed(
+      [&] {
+        for (int i = 0; i < kReadsPerRep; ++i) {
+          auto d = decoder.decode(series.u, series.rss_linear);
+          bench::do_not_optimize(d);
+        }
+      },
+      opts);
+  const double fft_us = timing.wall_ms.median * 1000.0 / kReadsPerRep;
   obs::MetricsRegistry::global().gauge("bench.decoder.fft_read_us")
       .set(fft_us);
-  obs::MetricsRegistry::global().gauge("bench.decoder.codebook_read_us")
-      .set(cb_us);
 
   // Empirical bit errors near the noise cliff. Seeds are fixed and the
   // pipeline is deterministic at every thread count, so these counts
-  // are reproducible and comparable across backends.
-  const auto bit_errors = [&](tag::DecoderBackend backend,
-                              double noise_dbm) {
+  // are reproducible.
+  const auto bit_errors = [&](double noise_dbm) {
     auto c = cfg;
     c.frame_stride = 4;
-    c.decoder.backend = backend;
     c.extra_noise_dbm = noise_dbm;
     int errors = 0;
     for (int t = 0; t < 3; ++t) {
@@ -191,30 +177,15 @@ ROS_BENCH_OPTS(ablation_decoder, 2, 0) {
   };
 
   common::CsvTable duel(
-      "Decoder head-to-head: per-read latency on the same series + bit "
-      "errors over 3 seeded drives per interference level (12 bits)",
-      {"backend", "read_us_median", "clean_ok", "errs_noise_46dbm",
+      "FFT decoder: per-read latency on the clean series + bit errors "
+      "over 3 seeded drives per interference level (12 bits)",
+      {"decoder", "read_us_median", "clean_ok", "errs_noise_46dbm",
        "errs_noise_44dbm", "errs_noise_42dbm", "errs_noise_40dbm"});
-  int fft_errs_total = 0;
-  int cb_errs_total = 0;
-  {
-    std::vector<double> row{fft_us, fft_clean.bits == bits ? 1.0 : 0.0};
-    for (double dbm : {-46.0, -44.0, -42.0, -40.0}) {
-      const int e = bit_errors(tag::DecoderBackend::fft, dbm);
-      fft_errs_total += e;
-      row.push_back(static_cast<double>(e));
-    }
-    duel.add_row("fft", row);
+  std::vector<double> row{fft_us, fft_clean.bits == bits ? 1.0 : 0.0};
+  for (double dbm : {-46.0, -44.0, -42.0, -40.0}) {
+    row.push_back(static_cast<double>(bit_errors(dbm)));
   }
-  {
-    std::vector<double> row{cb_us, cb_clean.bits == bits ? 1.0 : 0.0};
-    for (double dbm : {-46.0, -44.0, -42.0, -40.0}) {
-      const int e = bit_errors(tag::DecoderBackend::codebook, dbm);
-      cb_errs_total += e;
-      row.push_back(static_cast<double>(e));
-    }
-    duel.add_row("codebook", row);
-  }
+  duel.add_row("fft", row);
   bench::print(ctx, duel);
 
   ctx.fidelity("full_system_snr_db", full_snr_db, 14.0, 35.0,
@@ -226,20 +197,7 @@ ROS_BENCH_OPTS(ablation_decoder, 2, 0) {
                40.0,
                "Ablation 1: polarization switching is what rejects the "
                "clutter (~27 dB SNR swing)");
-  ctx.fidelity("decoder_backends_bit_identical_clean",
-               (fft_clean.bits == bits && cb_clean.bits == bits) ? 1.0
-                                                                 : 0.0,
+  ctx.fidelity("fft_clean_decoded", fft_clean.bits == bits ? 1.0 : 0.0,
                1.0, 1.0,
-               "Head-to-head fidelity law: fft and codebook decode "
-               "identical, correct bits at clean SNR");
-  ctx.fidelity("codebook_clean_score_margin", cb_clean.score_margin, 0.05,
-               1.0,
-               "Head-to-head: the matched filter decodes the clean "
-               "series decisively, not by a photo finish");
-  ctx.fidelity(
-      "codebook_low_snr_excess_bit_errors",
-      static_cast<double>(std::max(0, cb_errs_total - fft_errs_total)),
-      0.0, 1.0,
-      "Head-to-head: codebook bit errors across the interference sweep "
-      "stay no worse than fft (one marginal bit of slack)");
+               "FFT decoder: correct bits on the clean series");
 }

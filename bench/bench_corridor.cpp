@@ -105,12 +105,6 @@ ROS_BENCH_OPTS(corridor, 1, 0) {
   ThreadPool::set_global_threads(ros::exec::default_threads());
 
   auto& reg = ros::obs::MetricsRegistry::global();
-  const double hits = static_cast<double>(
-      reg.counter("pipeline.decoder.codebook.cache_hits").value());
-  const double misses = static_cast<double>(
-      reg.counter("pipeline.decoder.codebook.cache_misses").value());
-  const double hit_rate =
-      hits + misses > 0.0 ? hits / (hits + misses) : 0.0;
 
   ros::common::CsvTable table(
       "corridor: fleet soak (" + std::to_string(soak.reads.size()) +
@@ -127,7 +121,6 @@ ROS_BENCH_OPTS(corridor, 1, 0) {
                 {static_cast<double>(st.sessions_created)});
   table.add_row("sessions_recycled",
                 {static_cast<double>(st.sessions_recycled)});
-  table.add_row("codebook_cache_hit_rate", {hit_rate});
   bench::print(ctx, table);
 
   ctx.throughput("tag_reads_per_s", reads_per_s);
@@ -136,7 +129,6 @@ ROS_BENCH_OPTS(corridor, 1, 0) {
   reg.gauge("corridor.bench.read_ms_p99").set(p99);
   reg.gauge("corridor.bench.tag_reads_per_s").set(reads_per_s);
   reg.gauge("corridor.bench.frames_per_s").set(frames_per_s);
-  reg.gauge("corridor.bench.codebook_cache_hit_rate").set(hit_rate);
 
   ctx.fidelity("corridor_peak_active_sessions",
                static_cast<double>(st.peak_active_sessions), 100.0, 1e9,

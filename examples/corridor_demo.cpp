@@ -2,16 +2,14 @@
 // segment, run through the sharded ros::corridor fleet engine. Shows
 // the service-side view of the runtime: per-tag payloads decoded for a
 // whole fleet, plus the obs snapshot an operator would scrape —
-// throughput (tag reads/s, decode frames/s), read-latency percentiles
-// from the corridor.read.ms histogram, and the codebook decoder's cache
-// amortization across the fleet.
+// throughput (tag reads/s, decode frames/s) and read-latency
+// percentiles from the corridor.read.ms histogram.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "ros/corridor/engine.hpp"
 #include "ros/obs/metrics.hpp"
-#include "ros/tag/codec.hpp"
 
 namespace {
 
@@ -41,10 +39,6 @@ int main() {
   spec.traffic.min_speed_mps = 1.8;
   spec.traffic.max_speed_mps = 2.6;
   spec.config.frame_stride = 20;  // 50 decode frames per second
-  // The codebook matched filter shares one cached template set across
-  // every session that reads the same installation — the cache hit
-  // rate below is the amortization at fleet scale.
-  spec.config.decoder.backend = ros::tag::DecoderBackend::codebook;
 
   printf("corridor: %zu tags, %zu vehicles, ~%.0f s of traffic\n",
          spec.tags.size(), spec.traffic.n_vehicles,
@@ -78,16 +72,6 @@ int main() {
       p99 = h.quantile(0.99);
     }
   }
-  double hits = 0.0;
-  double misses = 0.0;
-  for (const auto& [name, value] : snap.counters) {
-    if (name == "pipeline.decoder.codebook.cache_hits") {
-      hits = static_cast<double>(value);
-    }
-    if (name == "pipeline.decoder.codebook.cache_misses") {
-      misses = static_cast<double>(value);
-    }
-  }
   const double wall_s = st.wall_ms / 1000.0;
 
   printf("\n-- runtime snapshot --\n");
@@ -107,9 +91,6 @@ int main() {
          "%zu rebinds)\n",
          st.peak_active_sessions, st.sessions_created,
          st.sessions_recycled);
-  printf("codebook cache    %.1f%% hit rate (%g hits / %g misses)\n",
-         hits + misses > 0.0 ? 100.0 * hits / (hits + misses) : 0.0,
-         hits, misses);
 
   if (st.reads_decoded == 0) {
     printf("\nno read decoded -- check the corridor setup\n");

@@ -123,8 +123,7 @@ std::uint64_t session_noise_seed(std::uint64_t corridor_seed,
 
 /// Tag-local scene for installation `tag` (tag at the origin facing
 /// +y). Built once per installation and shared by every session that
-/// reads it — the codebook decoder cache then amortizes template builds
-/// across the whole fleet.
+/// reads it.
 ros::scene::Scene tag_scene_of(const TagSpec& tag,
                                ros::scene::Weather weather);
 

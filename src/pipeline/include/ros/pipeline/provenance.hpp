@@ -46,11 +46,6 @@ std::string spectrum_tap_json(const ros::dsp::SpectrumTap& tap);
 std::string bit_margins_json(const ros::tag::DecodeResult& decode,
                              const ros::tag::DecoderConfig& config);
 
-/// Codebook matched-filter evidence: per-codeword normalized
-/// correlation scores, the winning codeword, and the arg-max margin
-/// (codebook / cross_check backends only).
-std::string codeword_scores_json(const ros::tag::DecodeResult& decode);
-
 /// Detection-pass point cloud, decimated to at most `max_points`.
 std::string pointcloud_json(const PointCloud& cloud,
                             std::size_t max_points = 4096);

@@ -26,13 +26,13 @@
 //
 //   * decode mode (tag position known — the fleet-scale service mode):
 //     finalize_decode() equals the oracle for EVERY window size, thread
-//     count, SIMD backend, decoder backend, and frame-delivery chunking,
-//     because the spotlight samples are taken per frame and never need
-//     the profile again.
+//     count, SIMD backend and frame-delivery chunking, because the
+//     spotlight samples are taken per frame and never need the profile
+//     again.
 //   * full mode: finalize_report() equals the oracle whenever the
 //     window covers the whole drive (window_frames == 0, i.e.
 //     unbounded, or >= n_frames). A bounded window lawfully degrades:
-//     the report covers only the surviving window (DESIGN.md §11), and
+//     the report covers only the surviving window (DESIGN.md §10), and
 //     the incremental clustering still matches batch DBSCAN of exactly
 //     those surviving points — that invariant holds for every window
 //     size.

@@ -98,14 +98,6 @@ std::uint64_t config_digest(const InterrogatorConfig& c) {
       .mix(c.decoder.spectrum.remove_mean)
       .mix(c.decoder.spectrum.whiten_envelope)
       .mix(c.decoder.spectrum.whiten_window);
-  // The decode engine changes bits at low SNR, so it is part of the
-  // experiment identity. Mix the *resolved* backend: a bundle captured
-  // under ROS_DECODER=codebook must not replay silently through fft.
-  d.mix(static_cast<int>(
-       ros::tag::resolve_decoder_backend(c.decoder.backend)))
-      .mix(c.decoder.codebook.canonical_u_span)
-      .mix(c.decoder.codebook.probe_offset_lambda)
-      .mix(c.decoder.codebook.probes_per_side);
   d.mix(c.tracking.relative_drift)
       .mix(c.tracking.jitter_std_m)
       .mix(c.tracking.seed);
@@ -204,23 +196,6 @@ std::string bit_margins_json(const ros::tag::DecodeResult& decode,
     w.key("bit").value(static_cast<bool>(decode.bits[k]));
     w.end_object();
   }
-  w.end_array();
-  w.end_object();
-  return w.take();
-}
-
-std::string codeword_scores_json(const ros::tag::DecodeResult& decode) {
-  JsonWriter w;
-  w.begin_object();
-  w.key("backend").value(ros::tag::to_string(decode.backend_used));
-  w.key("best_codeword")
-      .value(static_cast<std::uint64_t>(decode.best_codeword));
-  w.key("score_margin").value(decode.score_margin);
-  if (decode.backend_used == ros::tag::DecoderBackend::cross_check) {
-    w.key("cross_check_mismatch").value(decode.cross_check_mismatch);
-  }
-  w.key("scores").begin_array();
-  for (const double s : decode.codeword_scores) w.value(s);
   w.end_array();
   w.end_object();
   return w.take();

@@ -18,7 +18,7 @@
 #include "ros/obs/probe.hpp"
 #include "ros/obs/timer.hpp"
 #include "ros/pipeline/provenance.hpp"
-#include "ros/tag/codebook.hpp"
+#include "ros/tag/codec.hpp"
 
 namespace ros::pipeline {
 
@@ -194,7 +194,7 @@ bool classify_and_decode_clusters(
     ros::tag::DecoderConfig decoder_config = config.decoder;
     const bool tap_this = probe::capturing() && report.tags.size() < 4;
     if (tap_this) decoder_config.spectrum.tap = &spectrum_tap;
-    const ros::tag::TagDecoder decoder(decoder_config);
+    const ros::tag::SpatialDecoder decoder(decoder_config);
     if (series.u.size() < 16 || !decoder.can_decode(series.u)) {
       tel.add_stage("decode", t_decode.stop());
       ROS_LOG_WARN(kLog,
@@ -216,22 +216,13 @@ bool classify_and_decode_clusters(
       const std::string tag = "tag" + std::to_string(report.tags.size());
       probe::stage_artifact(tag + ".samples",
                             samples_json(readout.samples));
-      // The codebook backend never runs the FFT chain, so its result
-      // carries no spectrum (and the tap stays empty): capture only
-      // what the decode actually produced.
-      if (!readout.decode.spectrum.spacing_lambda.empty()) {
-        probe::stage_artifact(tag + ".coding_spectrum",
-                              spectrum_json(readout.decode.spectrum));
-        probe::stage_artifact(tag + ".spectrum_intermediates",
-                              spectrum_tap_json(spectrum_tap));
-      }
+      probe::stage_artifact(tag + ".coding_spectrum",
+                            spectrum_json(readout.decode.spectrum));
+      probe::stage_artifact(tag + ".spectrum_intermediates",
+                            spectrum_tap_json(spectrum_tap));
       probe::stage_artifact(
           tag + ".bit_margins",
           bit_margins_json(readout.decode, config.decoder));
-      if (!readout.decode.codeword_scores.empty()) {
-        probe::stage_artifact(tag + ".codeword_scores",
-                              codeword_scores_json(readout.decode));
-      }
     }
     report.tags.push_back(std::move(readout));
   }

@@ -14,7 +14,7 @@
 #include "ros/obs/log.hpp"
 #include "ros/obs/metrics.hpp"
 #include "ros/obs/probe.hpp"
-#include "ros/tag/codebook.hpp"
+#include "ros/tag/codec.hpp"
 
 namespace ros::pipeline {
 
@@ -144,9 +144,6 @@ void StreamingInterrogator::begin_read() {
                                config_digest(config_));
   if (!probing_) return;
   annotate_probe_runtime();
-  probe::annotate("decoder_backend",
-                  ros::tag::to_string(ros::tag::resolve_decoder_backend(
-                      config_.decoder.backend)));
   probe::annotate("frame_stride", static_cast<double>(config_.frame_stride));
   probe::annotate("decode_fov_rad", config_.decode_fov_rad);
   probe::annotate("extra_noise_dbm", config_.extra_noise_dbm);
@@ -379,7 +376,7 @@ void StreamingInterrogator::maybe_early_emit(std::size_t frame_index) {
   if (!past_edge) return;
   // The latest sample left the FoV on a monotone pass: every future
   // sample is filtered out of the series, which is therefore final.
-  const ros::tag::TagDecoder decoder(config_.decoder);
+  const ros::tag::SpatialDecoder decoder(config_.decoder);
   if (series_.empty() || !decoder.can_decode(series_.u())) {
     // The aperture will never suffice (the series cannot grow again):
     // stop re-checking, but leave emitted_ unset so finalize reports
@@ -413,10 +410,6 @@ void StreamingInterrogator::maybe_early_emit(std::size_t frame_index) {
     probe::stage_artifact(
         "early_emit.bit_margins",
         bit_margins_json(emitted_decode_, config_.decoder));
-    if (!emitted_decode_.codeword_scores.empty()) {
-      probe::stage_artifact("early_emit.codeword_scores",
-                            codeword_scores_json(emitted_decode_));
-    }
   }
   ROS_LOG_INFO(kLog, "decode emitted early",
                ros::obs::kv("frame", frame_index),
@@ -473,7 +466,7 @@ DecodeDriveResult StreamingInterrogator::finalize_decode() {
     // bit-identical with or without it).
     ros::tag::DecoderConfig decoder_config = config_.decoder;
     if (probe::capturing()) decoder_config.spectrum.tap = &spectrum_tap;
-    const ros::tag::TagDecoder decoder(decoder_config);
+    const ros::tag::SpatialDecoder decoder(decoder_config);
     aperture_ok = decoder.can_decode(series_.u());
     if (aperture_ok) {
       out.decode = decoder.decode(series_.u(), series_.rss_linear());
@@ -505,9 +498,7 @@ DecodeDriveResult StreamingInterrogator::finalize_decode() {
   if (emitted_) {
     const bool match = emitted_decode_.bits == out.decode.bits &&
                        emitted_decode_.slot_amplitudes ==
-                           out.decode.slot_amplitudes &&
-                       emitted_decode_.best_codeword ==
-                           out.decode.best_codeword;
+                           out.decode.slot_amplitudes;
     if (!match) {
       reg.counter("pipeline.stream.emit_mismatch").inc();
       ROS_LOG_ERROR(kLog,
@@ -537,20 +528,12 @@ DecodeDriveResult StreamingInterrogator::finalize_decode() {
     probe::decoded_bits(out.decode.bits);
     probe::annotate("mean_rss_dbm", out.mean_rss_dbm);
     if (!no_read) {
-      // Codebook-backend reads carry no FFT spectrum; capture only the
-      // artifacts the chosen decode engine actually produced.
-      if (!out.decode.spectrum.spacing_lambda.empty()) {
-        probe::stage_artifact("coding_spectrum",
-                              spectrum_json(out.decode.spectrum));
-        probe::stage_artifact("spectrum_intermediates",
-                              spectrum_tap_json(spectrum_tap));
-      }
+      probe::stage_artifact("coding_spectrum",
+                            spectrum_json(out.decode.spectrum));
+      probe::stage_artifact("spectrum_intermediates",
+                            spectrum_tap_json(spectrum_tap));
       probe::stage_artifact(
           "bit_margins", bit_margins_json(out.decode, config_.decoder));
-      if (!out.decode.codeword_scores.empty()) {
-        probe::stage_artifact("codeword_scores",
-                              codeword_scores_json(out.decode));
-      }
     }
     probe::end_read(no_read ? "no_read" : "");
   }

@@ -1,151 +1,5 @@
-// Codebook matched-filter decoder (ROADMAP #3; perf counterpart of the
-// FFT decoder in ros/tag/codec.hpp).
-//
-// The spatial code draws from a small discrete codebook: a tag family
-// (n_bits, unit spacing, design frequency) has only 2^n_bits codewords.
-// Instead of FFT-ing every read, we precompute each codeword's expected
-// coding-band response ONCE via the forward model of Eq. 6/7 — sampled
-// at a small family-fixed grid of probe spacings by direct DTFT
-// projection — and decode by normalized correlation of the observed
-// probe vector against the cached templates. The per-read hot path is:
-// shared resample + whiten + window (bit-identical to rcs_spectrum's
-// front end), P ~ 25 DTFT projections max-pooled per slot into F ~ 9
-// features (the matched-filter analogue of the FFT oracle's window-max
-// search), and 2^n_bits ros::simd dot products. No FFT, no heap
-// allocation past the result vectors.
-//
-// Codebooks are cached process-wide, keyed by a digest of every
-// DecoderConfig field they depend on, mirroring the FFT plan cache
-// (bounded, clear-all on overflow). Cache traffic is observable under
-// pipeline.decoder.codebook.{cache_hits,cache_misses,size,build_ms}.
+// Forwarding include for bench/e2e, which still names this header; see
+// the bench/e2e compatibility block at the end of ros/tag/codec.hpp.
 #pragma once
 
-#include <cstdint>
-#include <memory>
-#include <span>
-#include <vector>
-
 #include "ros/tag/codec.hpp"
-
-namespace ros::tag {
-
-/// Precomputed matched-filter templates for one tag family + spectrum
-/// configuration. Immutable after build; shared across threads via
-/// shared_ptr<const Codebook>.
-struct Codebook {
-  std::uint32_t n_codewords = 0;  ///< 2^n_bits
-  std::uint32_t n_probes = 0;     ///< P: probe spacings per template
-  std::uint32_t n_features = 0;   ///< F: pooled features per template
-
-  /// Probe spacings [wavelengths], ascending: a fan across each slot's
-  /// tolerance window (center +/- j * probe_offset_lambda), inter-slot
-  /// midpoints, and the coding-band edge guards.
-  std::vector<double> probe_spacing_lambda;
-  /// 1-based coding slot each probe belongs to; 0 = off-slot guard.
-  std::vector<int> probe_slot;
-  /// Feature each probe max-pools into: slot k's fan collapses to
-  /// feature k-1 (the analogue of the FFT decoder's window max, and
-  /// what makes the correlation tolerant of drift-shifted peaks); each
-  /// off-slot probe keeps its own feature as a noise anchor.
-  std::vector<int> probe_feature;
-
-  /// SoA templates, row-major [codeword][feature]. `tmpl` holds the
-  /// pooled expected amplitudes (same normalization as RcsSpectrum
-  /// amplitudes); `tmpl_centered` the mean-removed rows the correlation
-  /// uses; `tmpl_norm` their L2 norms (0 for the all-zero codeword,
-  /// whose template is flat).
-  std::vector<double> tmpl;
-  std::vector<double> tmpl_centered;
-  std::vector<double> tmpl_norm;
-
-  /// Analysis window (resample_points long) + coherent gain, cached so
-  /// the decode hot path never calls make_window.
-  std::vector<double> window;
-  double window_gain = 1.0;
-
-  std::size_t resample_points = 0;  ///< n: uniform-u grid length
-  double canonical_u_span = 0.0;    ///< template synthesis u window
-  double build_ms = 0.0;            ///< cold-build wall time
-  std::uint64_t key = 0;            ///< codebook_digest of the config
-
-  std::span<const double> row(std::uint32_t c) const {
-    return {tmpl.data() + static_cast<std::size_t>(c) * n_features,
-            n_features};
-  }
-  std::span<const double> centered_row(std::uint32_t c) const {
-    return {tmpl_centered.data() + static_cast<std::size_t>(c) * n_features,
-            n_features};
-  }
-};
-
-/// FNV-1a digest of every DecoderConfig field the codebook depends on
-/// (family geometry, spectrum options, codebook options). The cache key;
-/// also mixed into the pipeline's config digest.
-std::uint64_t codebook_digest(const DecoderConfig& config);
-
-/// Build a codebook from scratch (cold path; milliseconds).
-Codebook build_codebook(const DecoderConfig& config);
-
-/// Fetch the codebook for `config` from the process-wide bounded cache,
-/// building it on miss. Thread-safe.
-std::shared_ptr<const Codebook> codebook_for(const DecoderConfig& config);
-
-/// Drop every cached codebook (tests; resets the size gauge).
-void clear_codebook_cache();
-
-/// Matched-filter decoder: correlates the observed whitened probe
-/// vector against every cached codeword template. Interchangeable with
-/// SpatialDecoder::decode at the bit level for clean reads (tolerance
-/// contract in DESIGN.md §10).
-class CodebookDecoder {
- public:
-  /// Fetches (or builds) the family codebook at construction — the cold
-  /// build is charged once here, never per decode.
-  explicit CodebookDecoder(DecoderConfig config = {});
-
-  const DecoderConfig& config() const { return config_; }
-  const Codebook& codebook() const { return *codebook_; }
-
-  /// Same aperture gate as SpatialDecoder::can_decode (shared so fft /
-  /// codebook backends agree on read vs no-read).
-  bool can_decode(std::span<const double> u) const;
-
-  /// Decode from (u, linear RSS) samples. Zero steady-state heap
-  /// allocation beyond the DecodeResult vectors (scratch lives in the
-  /// calling thread's ros::exec::Arena).
-  DecodeResult decode(std::span<const double> u,
-                      std::span<const double> rss_linear) const;
-
- private:
-  DecoderConfig config_;
-  TagLayout reference_layout_;  ///< all-ones layout of the tag family
-  std::shared_ptr<const Codebook> codebook_;
-};
-
-/// Backend dispatcher the pipeline uses: resolves DecoderConfig.backend
-/// (through ROS_DECODER when auto_) at construction and routes decode()
-/// to the FFT oracle, the codebook matched filter, or both
-/// (cross_check: returns the oracle's bits, attaches the codebook's
-/// scores, and counts agreements/mismatches under
-/// pipeline.decoder.cross_check.*).
-class TagDecoder {
- public:
-  explicit TagDecoder(DecoderConfig config = {});
-
-  DecoderBackend backend() const { return resolved_; }
-  const DecoderConfig& config() const { return oracle_.config(); }
-
-  bool can_decode(std::span<const double> u) const {
-    return oracle_.can_decode(u);
-  }
-
-  DecodeResult decode(std::span<const double> u,
-                      std::span<const double> rss_linear) const;
-
- private:
-  DecoderBackend resolved_;
-  SpatialDecoder oracle_;
-  std::shared_ptr<const CodebookDecoder> codebook_;  ///< null when fft
-};
-
-}  // namespace ros::tag

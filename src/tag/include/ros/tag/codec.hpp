@@ -6,53 +6,13 @@
 // by the overall power in the coding band, and thresholds to bits.
 #pragma once
 
-#include <cstdint>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "ros/dsp/spectrum.hpp"
 #include "ros/tag/layout.hpp"
 
 namespace ros::tag {
-
-/// Which decode engine the pipeline runs (see ros/tag/codebook.hpp for
-/// the dispatcher). `auto_` defers to the ROS_DECODER environment
-/// variable at decoder construction; unset (or unknown) means fft.
-enum class DecoderBackend {
-  auto_ = 0,
-  fft,          ///< SpatialDecoder: FFT + per-slot peak picking (oracle)
-  codebook,     ///< CodebookDecoder: matched filter vs cached codebook
-  cross_check,  ///< run both; return fft bits, flag any disagreement
-};
-
-const char* to_string(DecoderBackend backend);
-
-/// Parse "auto" / "fft" / "codebook" / "cross_check". False on unknown.
-bool parse_decoder_backend(std::string_view name, DecoderBackend& out);
-
-/// Resolve auto_ through ROS_DECODER (unset or unrecognized -> fft;
-/// unrecognized values warn once per process). Explicit backends pass
-/// through unchanged.
-DecoderBackend resolve_decoder_backend(DecoderBackend configured);
-
-/// Knobs of the codebook matched-filter decoder. Part of the codebook
-/// cache key (see codebook_digest).
-struct CodebookOptions {
-  /// u-window width of the canonical grid codeword templates are
-  /// synthesized on. Normalized correlation is robust to modest
-  /// mismatch against the observed span (golden drives span ~1.3).
-  double canonical_u_span = 1.2;
-  /// Probes are placed at each slot spacing and +/- j * this offset
-  /// (wavelengths) for j = 1..probes_per_side, then max-pooled per slot
-  /// before correlation — the matched-filter analogue of the FFT
-  /// oracle's window-max search, tolerant of the same peak shifts
-  /// (odometry drift, multipath). The fan must stay inside the oracle's
-  /// window: probes_per_side * probe_offset_lambda must not exceed
-  /// DecoderConfig.slot_tolerance_lambda.
-  double probe_offset_lambda = 0.2;
-  int probes_per_side = 2;
-};
 
 struct DecoderConfig {
   /// Expected number of coding slots (must match the tag family).
@@ -75,10 +35,6 @@ struct DecoderConfig {
   /// floor from decoding as spurious ones.
   double min_modulation = 0.04;
   ros::dsp::SpectrumOptions spectrum{};
-  /// Decode engine selection (TagDecoder dispatches; SpatialDecoder and
-  /// CodebookDecoder ignore it and always run their own algorithm).
-  DecoderBackend backend = DecoderBackend::auto_;
-  CodebookOptions codebook{};
 };
 
 struct DecodeResult {
@@ -91,17 +47,6 @@ struct DecodeResult {
   double band_rms = 0.0;
   double threshold = 0.0;
   ros::dsp::RcsSpectrum spectrum;
-  /// Engine that produced `bits` (cross_check reports the fft oracle's
-  /// bits with the codebook's scores attached).
-  DecoderBackend backend_used = DecoderBackend::fft;
-  /// Normalized correlation against every codeword (codebook/cross_check
-  /// backends only; empty for fft). Index = codeword, bit k of the index
-  /// = coding slot k+1.
-  std::vector<double> codeword_scores;
-  std::uint32_t best_codeword = 0;  ///< arg-max of codeword_scores
-  double score_margin = 0.0;        ///< best minus runner-up score
-  /// cross_check only: the two engines decoded different bits.
-  bool cross_check_mismatch = false;
 };
 
 class SpatialDecoder {
@@ -129,5 +74,20 @@ class SpatialDecoder {
   DecoderConfig config_;
   TagLayout reference_layout_;  ///< all-ones layout of the tag family
 };
+
+// bench/e2e compatibility. SpatialDecoder is the only decoder; the
+// declarations below exist only because bench/e2e compiles against
+// them: it includes ros/tag/codebook.hpp, names TagDecoder, and fills
+// its `decoder_backend` provenance field (always "fft") through
+// resolve_decoder_backend. Nothing in src/, tools/ or tests/ uses them;
+// they go once bench/e2e stops naming them.
+enum class DecoderBackend { auto_, fft };
+inline const char* to_string(DecoderBackend backend) {
+  return backend == DecoderBackend::fft ? "fft" : "auto";
+}
+inline DecoderBackend resolve_decoder_backend(DecoderBackend) {
+  return DecoderBackend::fft;
+}
+using TagDecoder = SpatialDecoder;
 
 }  // namespace ros::tag

@@ -1,53 +1,14 @@
 #include "ros/tag/codec.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 
 #include "ros/common/expect.hpp"
 #include "ros/dsp/fft.hpp"
-#include "ros/obs/log.hpp"
 
 namespace ros::tag {
 
 using ros::dsp::RcsSpectrum;
-
-const char* to_string(DecoderBackend backend) {
-  switch (backend) {
-    case DecoderBackend::auto_: return "auto";
-    case DecoderBackend::fft: return "fft";
-    case DecoderBackend::codebook: return "codebook";
-    case DecoderBackend::cross_check: return "cross_check";
-  }
-  return "unknown";
-}
-
-bool parse_decoder_backend(std::string_view name, DecoderBackend& out) {
-  if (name == "auto") out = DecoderBackend::auto_;
-  else if (name == "fft") out = DecoderBackend::fft;
-  else if (name == "codebook") out = DecoderBackend::codebook;
-  else if (name == "cross_check") out = DecoderBackend::cross_check;
-  else return false;
-  return true;
-}
-
-DecoderBackend resolve_decoder_backend(DecoderBackend configured) {
-  if (configured != DecoderBackend::auto_) return configured;
-  const char* env = std::getenv("ROS_DECODER");
-  if (env == nullptr || *env == '\0') return DecoderBackend::fft;
-  DecoderBackend parsed = DecoderBackend::fft;
-  if (!parse_decoder_backend(env, parsed)) {
-    static std::atomic<bool> warned{false};
-    if (!warned.exchange(true)) {
-      ROS_LOG_WARN("tag.codec", "unrecognized ROS_DECODER value; using fft",
-                   ros::obs::kv("value", env));
-    }
-    return DecoderBackend::fft;
-  }
-  // ROS_DECODER=auto means "no override".
-  return parsed == DecoderBackend::auto_ ? DecoderBackend::fft : parsed;
-}
 
 SpatialDecoder::SpatialDecoder(DecoderConfig config)
     : config_(config),

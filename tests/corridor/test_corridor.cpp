@@ -1,6 +1,6 @@
 // Corridor engine determinism and fidelity suite.
 //
-// The corridor's contract (DESIGN.md §12):
+// The corridor's contract (DESIGN.md §11):
 //   * every readout is bit-identical to the same (vehicle, tag) session
 //     run standalone through decode_drive;
 //   * the full corridor result is bit-identical at any thread count;

@@ -5,10 +5,10 @@
 // runs each mutant through decode_drive / Interrogator::run, and checks
 // the ros::testkit invariant oracles: every reported number finite,
 // funnel consistent, decoded payload width matching the tag family,
-// bit-identical results across thread counts, fft vs codebook decoder
-// backends agreeing on clean reads, and RSS / decode quality not
-// improving under heavier weather. Thorough iterations also run the
-// corridor differential: a random fleet pushed through the sharded
+// bit-identical results across thread counts, the engine matching the
+// serial layer-call oracle, and RSS / decode quality not improving under
+// heavier weather. Thorough iterations also run the corridor
+// differential: a random fleet pushed through the sharded
 // ros::corridor engine must reproduce standalone decode_drive bit for
 // bit on every (vehicle, tag) readout. Coverage guidance is by behavior
 // signature (funnel shape + decode outcome + coarse signal regime): a
@@ -29,7 +29,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -173,61 +172,6 @@ tk::OracleVerdict check_weather_monotonicity(const tk::Scenario& s) {
   return tk::OracleVerdict::pass();
 }
 
-/// Differential decoder oracle: every scenario runs through both decode
-/// backends. The FFT oracle and the codebook matched filter share the
-/// aperture gate, so read vs no-read must ALWAYS agree. Decoded bits
-/// must agree whenever BOTH decoders are confident (the tolerance
-/// contract of DESIGN.md §10):
-///   * FFT side clean — every slot's normalized amplitude at least
-///     kDecoderAgreementMargin away from the decision threshold
-///     (0.15 ≈ the narrowest margin observed at ~10 dB OOK SNR on the
-///     golden drives; below that the FFT itself flips marginal bits);
-///   * codebook side decisive — winning correlation leads the runner-up
-///     by at least kCodebookDecisiveMargin. A tighter race means two
-///     templates explain the observation almost equally well (skewed
-///     geometry, multipath); a joint matched filter and a per-slot
-///     threshold detector legitimately split those photo finishes.
-/// A disagreement clearing both bars is a real finding: one of the
-/// decoders is confidently wrong.
-constexpr double kDecoderAgreementMargin = 0.15;
-constexpr double kCodebookDecisiveMargin = 0.10;
-
-tk::OracleVerdict check_decoder_agreement(const tk::Scenario& s) {
-  const auto scene = s.make_scene(&stackup());
-  auto config = s.make_config();
-  config.decoder.backend = ros::tag::DecoderBackend::fft;
-  const auto fft = ros::pipeline::decode_drive(scene, s.make_drive(),
-                                               {0.0, 0.0}, config);
-  config.decoder.backend = ros::tag::DecoderBackend::codebook;
-  const auto cb = ros::pipeline::decode_drive(scene, s.make_drive(),
-                                              {0.0, 0.0}, config);
-
-  if (fft.decode.bits.empty() != cb.decode.bits.empty()) {
-    return tk::OracleVerdict::fail(
-        std::string("decoder agreement: fft ") +
-        (fft.decode.bits.empty() ? "no-read" : "read") +
-        " but codebook " + (cb.decode.bits.empty() ? "no-read" : "read") +
-        " (the aperture gate is shared; this must never diverge)");
-  }
-  if (fft.decode.bits == cb.decode.bits) return tk::OracleVerdict::pass();
-
-  double min_margin = std::numeric_limits<double>::infinity();
-  for (const double a : fft.decode.slot_amplitudes) {
-    min_margin = std::min(min_margin, std::abs(a - fft.decode.threshold));
-  }
-  if (min_margin < kDecoderAgreementMargin ||
-      cb.decode.score_margin < kCodebookDecisiveMargin) {
-    return tk::OracleVerdict::pass();  // at least one side within noise
-  }
-  std::ostringstream os;
-  os << "decoder agreement: fft and codebook confidently decoded "
-        "different bits (min slot margin "
-     << min_margin << " >= " << kDecoderAgreementMargin
-     << ", codebook margin " << cb.decode.score_margin
-     << " >= " << kCodebookDecisiveMargin << ")";
-  return tk::OracleVerdict::fail(os.str());
-}
-
 /// Pipeline differential oracle: decode_drive (the parallel block
 /// driver) and a frame-by-frame engine must both reproduce the serial
 /// layer-call reference (tests/support/pipeline_oracle.hpp)
@@ -349,7 +293,6 @@ tk::OracleVerdict run_all_oracles(const tk::Scenario& s, bool thorough,
     if (signature != nullptr) {
       *signature = tk::behavior_signature(result, s);
     }
-    if (auto v = check_decoder_agreement(s); !v.ok) return v;
     if (auto v = check_streaming_equivalence(s); !v.ok) return v;
     if (thorough) {
       ros::pipeline::InterrogationReport report;

@@ -4,16 +4,14 @@
 // (tests/support/pipeline_oracle.hpp) BIT-IDENTICALLY (operator==, no
 // epsilon): same samples, same decoded bits and decision variables,
 // same funnel verdict, same read/no-read outcome — across window sizes,
-// frame-delivery chunking, decoder backends, and the parallel block
-// driver at the pool's thread count. The sweep also enforces the
-// early-emit laws on every scenario where the gate can arm: an emitted
-// readout equals the reference readout, and the global no-retraction
-// counter never moves.
+// frame-delivery chunking and the parallel block driver at the pool's
+// thread count. The sweep also enforces the early-emit laws on every
+// scenario where the gate can arm: an emitted readout equals the
+// reference readout, and the global no-retraction counter never moves.
 //
 // CI runs this file as its own job (`streaming-equivalence`) under
-// ROS_THREADS=4 ROS_SIMD=scalar ROS_DECODER=codebook with the probe
-// armed in failure mode, so any divergence uploads a replayable
-// provenance bundle.
+// ROS_THREADS=4 ROS_SIMD=scalar with the probe armed in failure mode,
+// so any divergence uploads a replayable provenance bundle.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -29,7 +27,6 @@
 #include "../support/stream_equality.hpp"
 
 namespace rp = ros::pipeline;
-namespace rt = ros::tag;
 namespace tk = ros::testkit;
 namespace oracle = ros::testoracle;
 using ros::common::Rng;
@@ -86,9 +83,9 @@ rp::DecodeDriveResult run_chunked(const tk::Scenario& s,
 }  // namespace
 
 TEST(StreamingEquivalence, DecodeModeBitIdenticalAcrossScenarioSweep) {
-  // >= 100 randomized scenarios x a rotating matrix of window size,
-  // decoder backend, and delivery chunking. Every leg must be exactly
-  // equal to the serial oracle.
+  // >= 100 randomized scenarios x a rotating matrix of window size and
+  // delivery chunking. Every leg must be exactly equal to the serial
+  // oracle.
   constexpr std::uint64_t kScenarios = 108;
   const std::uint64_t mismatches_before =
       counter("pipeline.stream.emit_mismatch");
@@ -99,12 +96,7 @@ TEST(StreamingEquivalence, DecodeModeBitIdenticalAcrossScenarioSweep) {
     SCOPED_TRACE("scenario " + std::to_string(k) + "\n" + s.encode());
     const auto scene = s.make_scene(&stackup());
     const auto drive = s.make_drive();
-    rp::InterrogatorConfig cfg = s.make_config();
-    // Rotate the decoder backend so both engines (and the cross-check
-    // harness) are inside the equivalence contract.
-    cfg.decoder.backend = (k % 3 == 0)   ? rt::DecoderBackend::fft
-                          : (k % 3 == 1) ? rt::DecoderBackend::codebook
-                                         : rt::DecoderBackend::cross_check;
+    const rp::InterrogatorConfig cfg = s.make_config();
 
     const auto reference =
         oracle::decode_drive(scene, drive, {0.0, 0.0}, cfg);

@@ -126,36 +126,6 @@ TEST(PipelineTelemetry, DecodeDrivePopulatesTelemetry) {
   EXPECT_NEAR(tel.tags.front().mean_rss_dbm, result.mean_rss_dbm, 1e-9);
 }
 
-TEST(PipelineTelemetry, CodebookMetricsSurfaceInExporters) {
-  const rs::Scene world = tag_world({true, false, true, true});
-  auto cfg = fast_config();
-  cfg.decoder.backend = rt::DecoderBackend::codebook;
-  (void)rp::decode_drive(world, default_drive(), {0.0, 0.0}, cfg);
-
-  // The decode path registers its cache instruments in the global
-  // registry, so both wire formats must carry them without any
-  // exporter-side changes.
-  auto& reg = ros::obs::MetricsRegistry::global();
-  EXPECT_GE(reg.counter("pipeline.decoder.codebook.cache_hits").value() +
-                reg.counter("pipeline.decoder.codebook.cache_misses")
-                    .value(),
-            1u);
-  EXPECT_GE(reg.gauge("pipeline.decoder.codebook.size").value(), 1.0);
-  const std::string json = reg.to_json();
-  const std::string prom = reg.snapshot().to_prometheus();
-  for (const char* name :
-       {"pipeline.decoder.codebook.cache_hits",
-        "pipeline.decoder.codebook.cache_misses",
-        "pipeline.decoder.codebook.size",
-        "pipeline.decoder.codebook.build_ms"}) {
-    EXPECT_NE(json.find(name), std::string::npos) << name;
-    // The Prometheus exposition keeps the dotted name in a `name` label
-    // (one ros_* family per instrument kind), so the same string must
-    // appear there too.
-    EXPECT_NE(prom.find(name), std::string::npos) << name;
-  }
-}
-
 TEST(InterrogatorConfigValidation, RejectsBadValues) {
   {
     rp::InterrogatorConfig cfg;

@@ -106,13 +106,12 @@ TEST(Streaming, DecodeModeMatchesBatchExactly) {
             (std::vector<bool>{true, false, true, true}));
 }
 
-TEST(Streaming, DecodeModeMatchesBatchWithFovStrideAndCodebook) {
+TEST(Streaming, DecodeModeMatchesOracleWithFovAndStride) {
   const auto world = make_world();
   const auto drive = default_drive();
   auto cfg = fast_config();
   cfg.decode_fov_rad = ros::common::deg_to_rad(60.0);
   cfg.frame_stride = 7;
-  cfg.decoder.backend = rt::DecoderBackend::codebook;
   const auto reference =
       oracle::decode_drive(world, drive, {0.0, 0.0}, cfg);
   const auto result = rp::decode_drive(world, drive, {0.0, 0.0}, cfg);

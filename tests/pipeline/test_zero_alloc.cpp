@@ -154,61 +154,6 @@ TEST(ZeroAlloc, InterrogateFrameLoopAllocsAreBounded) {
   EXPECT_LE(gauge("interrogate.frame_loop.allocs_per_frame"), 64.0);
 }
 
-TEST(ZeroAlloc, CodebookBackendSteadyStateDoesNotGrowArenas) {
-  const auto world = make_world();
-  rp::InterrogatorConfig cfg;
-  cfg.frame_stride = 10;
-  cfg.decoder.backend = rt::DecoderBackend::codebook;
-
-  const std::uint64_t misses_before =
-      ros::obs::MetricsRegistry::global()
-          .counter("pipeline.decoder.codebook.cache_misses")
-          .value();
-  warm_every_executor(cfg, world, /*full_mode=*/false);
-  // Warmup also pays the cold codebook build exactly once.
-  const auto warm = rp::decode_drive(world, short_drive(), {0.0, 0.0}, cfg);
-  ASSERT_GT(warm.samples.size(), 0u);
-  ASSERT_FALSE(warm.decode.codeword_scores.empty());
-
-  const std::uint64_t grows_before = arena_grows();
-  const std::uint64_t misses_after_warm =
-      ros::obs::MetricsRegistry::global()
-          .counter("pipeline.decoder.codebook.cache_misses")
-          .value();
-  const auto steady =
-      rp::decode_drive(world, short_drive(), {0.0, 0.0}, cfg);
-  EXPECT_EQ(arena_grows(), grows_before)
-      << "steady-state codebook decode grew a scratch arena";
-  // The cold build is charged once at warmup, never per read.
-  EXPECT_EQ(ros::obs::MetricsRegistry::global()
-                .counter("pipeline.decoder.codebook.cache_misses")
-                .value(),
-            misses_after_warm)
-      << "steady-state decode rebuilt the codebook";
-  EXPECT_LE(misses_after_warm - misses_before, 1u);
-  EXPECT_EQ(steady.decode.bits, warm.decode.bits);
-  EXPECT_EQ(steady.decode.codeword_scores, warm.decode.codeword_scores);
-}
-
-TEST(ZeroAlloc, CodebookBackendFrameLoopAllocsAreOutputOnly) {
-  if (!ros::obs::alloc_counting_enabled()) {
-    GTEST_SKIP() << "ROS_OBS_COUNT_ALLOCS is off";
-  }
-  const auto world = make_world();
-  rp::InterrogatorConfig cfg;
-  cfg.frame_stride = 10;
-  cfg.decoder.backend = rt::DecoderBackend::codebook;
-
-  warm_every_executor(cfg, world, /*full_mode=*/false);
-  (void)rp::decode_drive(world, short_drive(), {0.0, 0.0}, cfg);
-  (void)rp::decode_drive(world, short_drive(), {0.0, 0.0}, cfg);
-  // Same budget as the fft backend: the matched filter's scratch lives
-  // in the per-thread arena, so swapping decoders must not move the
-  // frame-loop allocation count.
-  EXPECT_LE(gauge("decode_drive.frame_loop.allocs_per_frame"), 16.0)
-      << "codebook decode allocates inside the frame loop";
-}
-
 TEST(ZeroAlloc, BudgetsHoldWithFlightRecorderLive) {
   if (!ros::obs::alloc_counting_enabled()) {
     GTEST_SKIP() << "ROS_OBS_COUNT_ALLOCS is off";

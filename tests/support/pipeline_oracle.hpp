@@ -5,7 +5,7 @@
 // for the poses, then per frame frame_returns_into -> synthesize_into ->
 // range_fft_into (-> detect_points -> accumulate) with the frame's
 // counter-derived RNG stream, then sample_rss / extract_clusters /
-// filter_dense / classify_cluster / to_decoder_series / TagDecoder over
+// filter_dense / classify_cluster / to_decoder_series / SpatialDecoder over
 // the retained profiles. Results must equal decode_drive() and
 // Interrogator::run() exactly (operator==, no epsilon); see
 // tests/support/stream_equality.hpp for the comparators.
@@ -25,7 +25,7 @@
 #include "ros/radar/processing.hpp"
 #include "ros/radar/waveform.hpp"
 #include "ros/scene/tracking.hpp"
-#include "ros/tag/codebook.hpp"
+#include "ros/tag/codec.hpp"
 
 namespace ros::testoracle {
 
@@ -84,7 +84,7 @@ inline ros::pipeline::DecodeDriveResult decode_drive(
                                config.array, s.fc);
   const auto series =
       rp::to_decoder_series(out.samples, rp::decode_max_abs_u(config));
-  const ros::tag::TagDecoder decoder(config.decoder);
+  const ros::tag::SpatialDecoder decoder(config.decoder);
   if (decoder.can_decode(series.u)) {
     out.decode = decoder.decode(series.u, series.rss_linear);
   }
@@ -153,7 +153,7 @@ inline ros::pipeline::InterrogationReport interrogate(
     report.candidates.push_back(cand);
     if (!cand.is_tag) continue;
     const auto series = rp::to_decoder_series(samples_s, max_abs_u);
-    const ros::tag::TagDecoder decoder(config.decoder);
+    const ros::tag::SpatialDecoder decoder(config.decoder);
     if (series.u.size() < 16 || !decoder.can_decode(series.u)) continue;
     rp::TagReadout readout;
     readout.candidate = cand;

@@ -35,13 +35,6 @@ inline std::string diff_decode(const ros::tag::DecodeResult& a,
   if (a.slot_modulation != b.slot_modulation) return "slot_modulation differ";
   if (a.band_rms != b.band_rms) return "band_rms differs";
   if (a.threshold != b.threshold) return "threshold differs";
-  if (a.backend_used != b.backend_used) return "backend differs";
-  if (a.codeword_scores != b.codeword_scores) return "codeword_scores differ";
-  if (a.best_codeword != b.best_codeword) return "best_codeword differs";
-  if (a.score_margin != b.score_margin) return "score_margin differs";
-  if (a.cross_check_mismatch != b.cross_check_mismatch) {
-    return "cross_check_mismatch differs";
-  }
   return "";
 }
 

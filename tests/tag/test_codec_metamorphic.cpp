@@ -4,8 +4,10 @@
 // drive transformations: mirroring the layout mirrors the RCS in u (and
 // the decode cannot tell), doubling delta_c doubles every slot spacing,
 // and the decoder may not care in which order the drive delivered its
-// (u, RSS) samples. Each test perturbs a RANDOM layout/drive through
-// one of these relations and checks the paper-mandated image.
+// (u, RSS) samples. Each property test perturbs a RANDOM layout/drive
+// through one of these relations and checks the paper-mandated image.
+// Two fixed-pattern cases pin the decoder's blindness to the RSS scale
+// (envelope whitening) and to a few percent of odometry drift.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,6 +43,25 @@ Series analytic_series(const rt::TagLayout& lay, double u_max,
     s.rcs[i] = rt::multi_stack_rcs_factor(lay, s.u[i]);
   }
   return s;
+}
+
+/// Eq. 6 drive with an antenna-pattern droop, a reference offset and
+/// additive measurement noise.
+Series noisy_series(const rt::TagLayout& lay, std::uint64_t seed,
+                    double noise_std = 0.4) {
+  Series s = analytic_series(lay, 0.55, 900);
+  Rng rng(seed);
+  for (std::size_t i = 0; i < s.u.size(); ++i) {
+    const double env = std::exp(-2.0 * s.u[i] * s.u[i]);
+    s.rcs[i] = env * (s.rcs[i] + 1.5 + rng.normal(0.0, noise_std));
+  }
+  return s;
+}
+
+std::vector<bool> pattern_bits(int pattern) {
+  std::vector<bool> bits(4);
+  for (int k = 0; k < 4; ++k) bits[k] = (pattern >> k) & 1;
+  return bits;
 }
 
 rt::DecoderConfig config_for(const rt::LayoutParams& p) {
@@ -239,4 +260,44 @@ TEST(CodecMetamorphic, RandomFamilyRoundTripsAndBandStaysClean) {
         }
         return "";
       });
+}
+
+TEST(CodecMetamorphic, AmplitudeScalingLeavesBitsAndSlotAmplitudes) {
+  // Envelope whitening divides by the envelope mean, so scaling the RSS
+  // by any positive constant leaves the whitened series, and therefore
+  // the decision variables and bits, unchanged up to rounding.
+  const rt::SpatialDecoder decoder;
+  for (const int pattern : {0b1101, 0b0011, 0b1000}) {
+    const auto lay = rt::TagLayout::from_bits(pattern_bits(pattern), {});
+    const auto s = noisy_series(lay, static_cast<std::uint64_t>(pattern) + 9);
+    const auto base = decoder.decode(s.u, s.rcs);
+    for (const double scale : {1e-3, 0.25, 7.0, 4096.0}) {
+      Series scaled = s;
+      for (double& y : scaled.rcs) y *= scale;
+      const auto r = decoder.decode(scaled.u, scaled.rcs);
+      EXPECT_EQ(r.bits, base.bits) << "scale " << scale;
+      ASSERT_EQ(r.slot_amplitudes.size(), base.slot_amplitudes.size());
+      for (std::size_t k = 0; k < base.slot_amplitudes.size(); ++k) {
+        EXPECT_NEAR(r.slot_amplitudes[k], base.slot_amplitudes[k], 1e-9)
+            << "scale " << scale << " slot " << k + 1;
+      }
+    }
+  }
+}
+
+TEST(CodecMetamorphic, ToleratesOdometryDrift) {
+  // Estimated u stretched by (1 + drift): every apparent spacing
+  // compresses by the same factor, up to 0.32 lambda at the top slot,
+  // which the +/-0.4 lambda slot window search absorbs.
+  const rt::SpatialDecoder decoder;
+  for (const int pattern : {0b1011, 0b1101, 0b0110}) {
+    const auto lay = rt::TagLayout::from_bits(pattern_bits(pattern), {});
+    for (const double drift : {0.0, 0.01, 0.02, 0.03}) {
+      auto s = noisy_series(lay, static_cast<std::uint64_t>(pattern) + 31,
+                            0.2);
+      for (double& u : s.u) u *= 1.0 + drift;
+      EXPECT_EQ(decoder.decode(s.u, s.rcs).bits, pattern_bits(pattern))
+          << "pattern " << pattern << " drift " << drift;
+    }
+  }
 }

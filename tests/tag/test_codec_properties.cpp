@@ -86,6 +86,33 @@ TEST_P(BitCountSweep, AnalyticRoundTrip) {
   }
 }
 
+// Every codeword of the family, including the all-zero one, under an
+// antenna-pattern droop and measurement noise (the 4-bit family's
+// noisy round trip lives in test_codec.cpp).
+TEST_P(BitCountSweep, NoisyEveryCodeword) {
+  const int n_bits = GetParam();
+  rt::LayoutParams lp;
+  lp.n_bits = n_bits;
+  rt::DecoderConfig dc;
+  dc.n_bits = n_bits;
+  const rt::SpatialDecoder decoder(dc);
+  const auto us = rc::linspace(-0.55, 0.55, 900);
+  for (int pattern = 0; pattern < (1 << n_bits); ++pattern) {
+    std::vector<bool> bits(static_cast<std::size_t>(n_bits));
+    for (int k = 0; k < n_bits; ++k) bits[k] = (pattern >> k) & 1;
+    const auto lay = rt::TagLayout::from_bits(bits, lp);
+    rc::Rng rng(static_cast<std::uint64_t>(n_bits * 100 + pattern + 1));
+    std::vector<double> rcs(us.size());
+    for (std::size_t i = 0; i < us.size(); ++i) {
+      const double env = std::exp(-2.0 * us[i] * us[i]);
+      rcs[i] = env * (rt::multi_stack_rcs_factor(lay, us[i]) + 1.5 +
+                      rng.normal(0.0, 0.4));
+    }
+    EXPECT_EQ(decoder.decode(us, rcs).bits, bits)
+        << n_bits << " bits, pattern " << pattern;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Payloads, BitCountSweep,
                          ::testing::Values(2, 3, 5, 7, 8));
 

@@ -3,7 +3,6 @@
 //
 //   rostriage report bundle.json
 //   rostriage replay bundle.json [--threads N] [--simd BACKEND]
-//             [--decoder NAME]
 //   rostriage diff a.json b.json
 //   rostriage capture --scenario file.scenario [--full]
 //
@@ -28,13 +27,10 @@ int usage() {
       "  report  <bundle.json>                render the read funnel,\n"
       "                                       bit margins and artifacts\n"
       "  replay  <bundle.json> [--threads N] [--simd BACKEND]\n"
-      "          [--decoder NAME]             re-run the captured read\n"
+      "                                       re-run the captured read\n"
       "                                       from its embedded scenario\n"
       "                                       and verify bits + funnel\n"
       "                                       reproduce bit-identically\n"
-      "                                       (--decoder must match the\n"
-      "                                       bundle's recorded backend:\n"
-      "                                       fft|codebook|cross_check)\n"
       "  diff    <a.json> <b.json>            compare two bundles\n"
       "  capture --scenario <file> [--full]   force-capture a read of a\n"
       "                                       testkit scenario (--full\n"
@@ -56,14 +52,11 @@ int cmd_replay(const std::vector<std::string>& args) {
   std::string path;
   std::size_t threads = 0;
   std::string simd;
-  std::string decoder;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--threads" && i + 1 < args.size()) {
       threads = static_cast<std::size_t>(std::atol(args[++i].c_str()));
     } else if (args[i] == "--simd" && i + 1 < args.size()) {
       simd = args[++i];
-    } else if (args[i] == "--decoder" && i + 1 < args.size()) {
-      decoder = args[++i];
     } else if (path.empty()) {
       path = args[i];
     } else {
@@ -73,7 +66,7 @@ int cmd_replay(const std::vector<std::string>& args) {
   if (path.empty()) return usage();
   const ros::triage::Bundle b = ros::triage::load_bundle(path);
   const ros::triage::ReplayResult r =
-      ros::triage::replay(b, threads, simd, decoder);
+      ros::triage::replay(b, threads, simd);
   if (!r.ran) {
     std::fprintf(stderr, "rostriage replay: cannot replay: %s\n",
                  r.detail.c_str());

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -17,7 +16,6 @@
 #include "ros/pipeline/interrogator.hpp"
 #include "ros/pipeline/provenance.hpp"
 #include "ros/simd/simd.hpp"
-#include "ros/tag/codec.hpp"
 #include "ros/testkit/scenario.hpp"
 
 namespace ros::triage {
@@ -66,22 +64,14 @@ std::string digest_hex(std::uint64_t digest) {
   return hex;
 }
 
-/// Restores probe mode + context, pool width, simd backend, and the
-/// ROS_DECODER selection no matter how the replayed pipeline exits.
+/// Restores probe mode + context, pool width and simd backend no matter
+/// how the replayed pipeline exits.
 struct RuntimeGuard {
   probe::Mode saved_mode = probe::mode();
   std::size_t saved_threads = ros::exec::ThreadPool::global().threads();
   ros::simd::Backend saved_backend = ros::simd::active_backend();
-  const char* saved_decoder_env = std::getenv("ROS_DECODER");
-  std::string saved_decoder = saved_decoder_env ? saved_decoder_env : "";
   bool threads_changed = false;
   bool backend_changed = false;
-  bool decoder_changed = false;
-
-  void set_decoder(const std::string& name) {
-    ::setenv("ROS_DECODER", name.c_str(), 1);
-    decoder_changed = true;
-  }
 
   ~RuntimeGuard() {
     probe::set_mode(saved_mode);
@@ -90,13 +80,6 @@ struct RuntimeGuard {
       ros::exec::ThreadPool::set_global_threads(saved_threads);
     }
     if (backend_changed) ros::simd::set_backend(saved_backend);
-    if (decoder_changed) {
-      if (saved_decoder_env != nullptr) {
-        ::setenv("ROS_DECODER", saved_decoder.c_str(), 1);
-      } else {
-        ::unsetenv("ROS_DECODER");
-      }
-    }
   }
 };
 
@@ -242,48 +225,6 @@ void render_bit_margins(std::ostringstream& out, const JsonValue& m) {
         number_at(s, "amplitude"), number_at(s, "modulation"),
         number_at(s, "margin"),
         bit != nullptr && bit->bool_or(false) ? 1 : 0);
-    out << line;
-  }
-}
-
-/// Top-k table of per-codeword correlation scores (codebook /
-/// cross_check captures). Bit k of a codeword index is coding slot k+1,
-/// so the codeword column doubles as the candidate bit pattern.
-void render_codeword_scores(std::ostringstream& out, const JsonValue& m) {
-  const std::vector<double> scores = numbers_of(m.find("scores"));
-  if (scores.empty()) return;
-  const JsonValue* backend = m.find("backend");
-  out << "  backend " << (backend != nullptr ? backend->string_or("?") : "?")
-      << "  codewords " << scores.size() << "  margin "
-      << fmt(number_at(m, "score_margin"));
-  if (const JsonValue* x = m.find("cross_check_mismatch");
-      x != nullptr && x->bool_or(false)) {
-    out << "  CROSS-CHECK-MISMATCH";
-  }
-  out << "\n";
-
-  std::size_t n_bits = 0;
-  while ((std::size_t{1} << n_bits) < scores.size()) ++n_bits;
-  const auto best =
-      static_cast<std::uint64_t>(number_at(m, "best_codeword"));
-  std::vector<std::size_t> order(scores.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return scores[a] > scores[b];
-  });
-  const std::size_t top_k = std::min<std::size_t>(order.size(), 5);
-  out << "  rank  codeword  bits" << std::string(n_bits > 4 ? n_bits - 4 : 0, ' ')
-      << "      score\n";
-  for (std::size_t r = 0; r < top_k; ++r) {
-    const std::size_t c = order[r];
-    std::string bits;
-    for (std::size_t k = 0; k < n_bits; ++k) {
-      bits += ((c >> k) & 1u) != 0 ? '1' : '0';
-    }
-    char line[160];
-    std::snprintf(line, sizeof(line), "  %4zu  %8zu  %s  %9.4f%s\n",
-                  r + 1, c, bits.c_str(), scores[c],
-                  c == best ? "  <- best" : "");
     out << line;
   }
 }
@@ -540,13 +481,6 @@ std::string report(const Bundle& bundle) {
       }
     }
     for (const auto& [name, v] : stages->object) {
-      if (name == "codeword_scores" ||
-          name.ends_with(".codeword_scores")) {
-        out << "\ncodeword correlation (" << name << ")\n";
-        render_codeword_scores(out, v);
-      }
-    }
-    for (const auto& [name, v] : stages->object) {
       if (name == "coding_spectrum" ||
           name.ends_with(".coding_spectrum")) {
         out << "\ncoding-band spectrum (" << name << ")\n";
@@ -572,8 +506,7 @@ std::string report(const Bundle& bundle) {
 }
 
 ReplayResult replay(const Bundle& bundle, std::size_t threads,
-                    const std::string& simd_backend,
-                    const std::string& decoder) {
+                    const std::string& simd_backend) {
   ReplayResult r;
   if (!bundle.has_scenario()) {
     r.detail = "bundle has no embedded scenario; capture it with "
@@ -589,37 +522,21 @@ ReplayResult replay(const Bundle& bundle, std::size_t threads,
                "interrogate)";
     return r;
   }
+  // Bundles captured while a second decoder existed may name it; the
+  // FFT decoder cannot reproduce their bits.
+  if (const JsonValue* d = bundle.doc.at("annotations", "decoder_backend");
+      d != nullptr && d->string_or("") != "fft") {
+    r.detail = "bundle was captured with decoder backend '" +
+               std::string(d->string_or("")) +
+               "'; only the fft decoder exists, so its bits cannot be "
+               "reproduced";
+    return r;
+  }
+
   const ros::testkit::Scenario s =
       ros::testkit::Scenario::parse(bundle.scenario_text());
 
-  // Decoded bits are only comparable when the replay runs the decoder
-  // backend the bundle was captured with. The backend travels in the
-  // annotations; the config digest also mixes the resolved backend, so
-  // ROS_DECODER must be pinned BEFORE the digest comparison below.
-  std::string recorded_decoder;
-  if (const JsonValue* d = bundle.doc.at("annotations", "decoder_backend")) {
-    recorded_decoder = d->string_or("");
-  }
-  if (!decoder.empty()) {
-    ros::tag::DecoderBackend parsed;
-    if (!ros::tag::parse_decoder_backend(decoder, parsed)) {
-      r.detail = "unknown decoder backend '" + decoder +
-                 "' (expected fft, codebook, or cross_check)";
-      return r;
-    }
-    if (!recorded_decoder.empty() && decoder != recorded_decoder) {
-      r.detail = "bundle was captured with decoder backend '" +
-                 recorded_decoder + "'; refusing replay with --decoder '" +
-                 decoder + "' (decoded bits would not be comparable -- "
-                 "re-capture the scenario under the desired backend)";
-      return r;
-    }
-  }
-
   RuntimeGuard guard;
-  const std::string effective_decoder =
-      !decoder.empty() ? decoder : recorded_decoder;
-  if (!effective_decoder.empty()) guard.set_decoder(effective_decoder);
 
   // Refuse to compare against a different experiment: the scenario must
   // reproduce the exact config the bundle was captured under.

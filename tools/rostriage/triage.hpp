@@ -69,14 +69,10 @@ struct ReplayResult {
 /// the current pool.
 /// `simd_backend` non-empty forces that ros::simd backend (restored
 /// afterwards); unknown/uncompiled backends fail with ran = false.
-/// `decoder` non-empty must match the bundle's recorded decoder backend
-/// annotation — a replay under a different backend would not produce
-/// comparable bits, so a conflict refuses with ran = false. Empty
-/// replays under the recorded backend (pinned via ROS_DECODER for the
-/// duration of the replay, restored afterwards).
+/// A bundle whose `decoder_backend` annotation names anything but fft
+/// refuses with ran = false and a detail naming the backend.
 ReplayResult replay(const Bundle& bundle, std::size_t threads = 0,
-                    const std::string& simd_backend = {},
-                    const std::string& decoder = {});
+                    const std::string& simd_backend = {});
 
 /// Textual diff of two bundles: kind/digest/reason, funnel verdicts,
 /// decoded bits, and per-slot amplitudes (compared to JSON serialization
