@@ -37,7 +37,8 @@ class Rng {
   /// Uniform integer in [lo, hi] inclusive.
   int uniform_int(int lo, int hi);
 
-  /// Standard normal scaled: N(mean, stddev^2).
+  /// Standard normal scaled: N(mean, stddev^2). stddev == 0 returns
+  /// `mean` and advances the stream exactly like any other stddev.
   double normal(double mean = 0.0, double stddev = 1.0);
 
   /// Bernoulli draw with probability `p` of true.

@@ -31,7 +31,11 @@ int Rng::uniform_int(int lo, int hi) {
 
 double Rng::normal(double mean, double stddev) {
   ROS_EXPECT(stddev >= 0.0, "stddev must be non-negative");
-  return std::normal_distribution<double>(mean, stddev)(engine_);
+  // normal_distribution(mean, stddev) requires stddev > 0. Scaling a
+  // standard-normal draw gives the identical z * stddev + mean, and at
+  // stddev == 0 it still consumes the draw, so later values of the
+  // stream do not depend on whether a tolerance was zero.
+  return std::normal_distribution<double>()(engine_) * stddev + mean;
 }
 
 bool Rng::bernoulli(double p) {

@@ -9,7 +9,7 @@
 #include "ros/obs/alloc.hpp"
 #include "ros/obs/log.hpp"
 #include "ros/obs/metrics.hpp"
-#include "ros/obs/window.hpp"
+#include "ros/obs/timer.hpp"
 #include "ros/pipeline/stages.hpp"
 
 namespace ros::corridor {
@@ -215,9 +215,6 @@ bool CorridorEngine::tick() {
       }
       reg.histogram("corridor.read.ms", read_latency_edges())
           .observe(record.latency_ms);
-      reg.windowed_histogram("corridor.read.ms.recent",
-                             read_latency_edges(), 60.0)
-          .observe(record.latency_ms);
       free_.push_back(active_[i].session);
       active_[i] = active_.back();
       active_.pop_back();
@@ -247,12 +244,6 @@ bool CorridorEngine::tick() {
   reg.counter("corridor.frames.processed").inc(work_.size());
   if (completed_now > 0) {
     reg.counter("corridor.reads.completed").inc(completed_now);
-    reg.rate("corridor.reads.rate")
-        .tick(static_cast<double>(completed_now));
-  }
-  if (!work_.empty()) {
-    reg.rate("corridor.frames.rate")
-        .tick(static_cast<double>(work_.size()));
   }
   reg.gauge("corridor.sessions.active")
       .set(static_cast<double>(active_.size()));
@@ -274,8 +265,7 @@ void CorridorEngine::run() {
   ros::pipeline::record_frame_loop_allocs(
       "corridor.frame_loop.allocs_per_frame", allocs_before,
       result_.stats.frames_processed);
-  ros::pipeline::record_runtime_introspection(
-      result_.stats.frames_processed);
+  ros::pipeline::record_runtime_introspection();
   ROS_LOG_INFO(kLog, "corridor drained",
                ros::obs::kv("reads", result_.stats.reads_completed),
                ros::obs::kv("frames", result_.stats.frames_processed),

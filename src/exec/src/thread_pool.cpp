@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <string>
@@ -10,6 +9,7 @@
 #include "ros/obs/flight_recorder.hpp"
 #include "ros/obs/log.hpp"
 #include "ros/obs/metrics.hpp"
+#include "ros/obs/timer.hpp"
 
 namespace ros::exec {
 
@@ -20,12 +20,6 @@ namespace {
 /// it and fall back to the serial path instead of deadlocking on the
 /// pool they are already occupying.
 thread_local int t_task_depth = 0;
-
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 }  // namespace
 
@@ -138,7 +132,7 @@ void ThreadPool::run_chunks(Job& job, bool is_worker) {
         job.next.fetch_add(job.chunk, std::memory_order_relaxed);
     if (start >= job.end) break;
     const std::size_t stop = std::min(start + job.chunk, job.end);
-    const double t0 = now_ms();
+    const double t0 = ros::obs::monotonic_s();
     if (!job.failed.load(std::memory_order_acquire)) {
       try {
         for (std::size_t i = start; i < stop; ++i) (*job.body)(i);
@@ -148,7 +142,8 @@ void ThreadPool::run_chunks(Job& job, bool is_worker) {
         if (!job.error) job.error = std::current_exception();
       }
     }
-    reg.histogram("exec.chunk.ms").observe(now_ms() - t0);
+    reg.histogram("exec.chunk.ms")
+        .observe((ros::obs::monotonic_s() - t0) * 1000.0);
     ++executed;
     {
       std::lock_guard<std::mutex> lock(job.mu);

@@ -1,4 +1,4 @@
-// Crash and stall diagnostics.
+// Crash diagnostics.
 //
 // write_diagnostics_bundle(reason) drops a self-contained directory of
 // post-mortem evidence under ROS_OBS_DIAG_DIR (default "ros-diag"):
@@ -6,7 +6,6 @@
 //   <dir>/<reason>-<pid>-<seq>/
 //     flight.json      flight-recorder tail (ros-flight-v1)
 //     metrics.json     full MetricsSnapshot at bundle time
-//     series.json      recent per-metric time series (ros-series-v1)
 //     provenance.json  build + host info, reason, pid, signal
 //
 // install_crash_handlers() hooks SIGSEGV/SIGABRT/SIGBUS/SIGFPE/SIGILL:
@@ -19,24 +18,10 @@
 // that may allocate — acceptable for diagnostics, never load-bearing.
 // ROS_OBS_CRASH_HANDLERS=1 in the environment auto-installs the
 // handlers the first time any obs entry point runs.
-//
-// The Watchdog flags frames that blow through their deadline: worker
-// threads arm a per-thread slot (Watchdog::Guard, RAII) around each
-// frame; a poller thread (or poll_now() in tests) scans the slots and,
-// on expiry, bumps `obs.watchdog.stalls`, records a FlightKind::stall
-// event, and logs the offending stage + frame. Arming and disarming are
-// a couple of relaxed atomic stores — cheap enough for per-frame use.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
-#include <vector>
 
 namespace ros::obs {
 
@@ -49,85 +34,13 @@ std::string diag_dir();
 std::string write_diagnostics_bundle(std::string_view reason);
 
 /// Install the fatal-signal handlers (idempotent). Also pre-touches the
-/// global recorder/registry/exporter singletons so a later handler
-/// never constructs them from a crashed context.
+/// global trace/recorder/registry singletons so a later handler never
+/// constructs them from a crashed context.
 void install_crash_handlers();
 bool crash_handlers_installed();
 
 /// Install iff ROS_OBS_CRASH_HANDLERS is "1"/"on". Called from obs
 /// session entry points; cheap after the first call.
 void maybe_install_crash_handlers_from_env();
-
-class Watchdog {
- public:
-  static Watchdog& global();
-
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
-  /// Arm the calling thread's slot: the current work item (`name`,
-  /// `frame`) must disarm within `deadline_ms` or the poller flags it.
-  void arm(std::string_view name, double deadline_ms,
-           std::uint64_t frame);
-  void disarm();
-
-  /// RAII arm/disarm around one frame. A non-positive deadline is a
-  /// no-op guard, so call sites can pass a disabled config through.
-  class Guard {
-   public:
-    Guard(std::string_view name, double deadline_ms, std::uint64_t frame)
-        : armed_(deadline_ms > 0.0) {
-      if (armed_) Watchdog::global().arm(name, deadline_ms, frame);
-    }
-    ~Guard() {
-      if (armed_) Watchdog::global().disarm();
-    }
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-
-   private:
-    bool armed_;
-  };
-
-  /// Start the poller thread (idempotent).
-  void start(double poll_ms = 100.0);
-  /// Stop and join the poller (idempotent).
-  void stop();
-  bool running() const { return running_.load(std::memory_order_relaxed); }
-
-  /// One synchronous scan pass at monotonic time `now_s`; returns how
-  /// many slots were newly flagged. Tests drive this directly.
-  std::size_t poll_now_at(double now_s);
-  std::size_t poll_now();
-
-  /// Stalls flagged since process start (mirrors obs.watchdog.stalls).
-  std::uint64_t stall_count() const {
-    return stalls_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct Slot {
-    /// Absolute deadline, monotonic_s-based microseconds; 0 = disarmed.
-    std::atomic<std::int64_t> deadline_us{0};
-    std::atomic<std::uint64_t> frame{0};
-    std::atomic<std::uint32_t> name_id{0};
-    std::atomic<bool> flagged{false};
-    std::uint16_t tid = 0;
-  };
-
-  Watchdog() = default;
-  Slot& thread_slot();
-  void thread_main(double poll_ms);
-
-  std::atomic<std::uint64_t> stalls_{0};
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stop_requested_{false};
-  std::thread thread_;
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-
-  mutable std::mutex slots_mu_;
-  std::vector<std::unique_ptr<Slot>> slots_;
-};
 
 }  // namespace ros::obs

@@ -6,29 +6,23 @@
 //     line parses standalone through json_parse.hpp;
 //   * rewrites `prom_path` atomically (tmp file + rename) with the
 //     Prometheus text exposition of the same snapshot, for a node
-//     exporter textfile collector to pick up;
-//   * folds every counter/gauge/rate value into an in-memory
-//     TimeSeriesRing (fixed capacity, default 240 points ≈ 4 minutes at
-//     1 Hz) so crash diagnostics can include recent history even when
-//     no file export was configured.
+//     exporter textfile collector to pick up.
 //
 // tick_at(now_s) runs one cycle synchronously — tests drive it with a
 // fake clock and never need the thread. global() reads
-// ROS_OBS_EXPORT_FILE, ROS_OBS_PROM_FILE, and ROS_OBS_EXPORT_INTERVAL_MS
-// on first use and auto-starts the thread when either path is set;
+// ROS_OBS_EXPORT_FILE and ROS_OBS_PROM_FILE on first use and
+// auto-starts the thread (1 s interval) when either path is set;
 // processes that never set those run zero extra threads.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 
-#include "ros/obs/window.hpp"
+#include "ros/obs/timer.hpp"
 
 namespace ros::obs {
 
@@ -38,7 +32,6 @@ class SnapshotExporter {
     std::string jsonl_path;  ///< empty = no JSONL export
     std::string prom_path;   ///< empty = no Prometheus export
     double interval_s = 1.0;
-    std::size_t ring_capacity = 240;
   };
 
   explicit SnapshotExporter(Options options);
@@ -46,9 +39,9 @@ class SnapshotExporter {
   SnapshotExporter(const SnapshotExporter&) = delete;
   SnapshotExporter& operator=(const SnapshotExporter&) = delete;
 
-  /// Process-wide exporter; first access reads ROS_OBS_EXPORT_FILE,
-  /// ROS_OBS_PROM_FILE, ROS_OBS_EXPORT_INTERVAL_MS and starts the
-  /// background thread when either file is configured.
+  /// Process-wide exporter; first access reads ROS_OBS_EXPORT_FILE and
+  /// ROS_OBS_PROM_FILE and starts the background thread when either
+  /// file is configured.
   static SnapshotExporter& global();
 
   /// Idempotent: construct the global exporter (and hence its thread,
@@ -65,22 +58,14 @@ class SnapshotExporter {
   bool running() const { return running_.load(std::memory_order_relaxed); }
 
   /// One export cycle at monotonic time `now_s`: snapshot the global
-  /// registry, append JSONL / rewrite Prometheus file, fold scalars
-  /// into the time-series rings. Returns false if any configured file
-  /// write failed.
+  /// registry, append JSONL / rewrite Prometheus file. Returns false if
+  /// any configured file write failed.
   bool tick_at(double now_s);
   bool tick() { return tick_at(monotonic_s()); }
 
   std::uint64_t ticks() const {
     return ticks_.load(std::memory_order_relaxed);
   }
-
-  /// {"schema":"ros-series-v1","series":{name:[[t,v],...]}} over every
-  /// scalar metric seen so far. Safe to call from any thread.
-  std::string series_json() const;
-
-  /// Test hook: drop accumulated series state.
-  void clear_series();
 
  private:
   void thread_main();
@@ -92,10 +77,6 @@ class SnapshotExporter {
   std::thread thread_;
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
-
-  mutable std::mutex series_mu_;
-  std::map<std::string, std::unique_ptr<TimeSeriesRing>, std::less<>>
-      series_;
 };
 
 }  // namespace ros::obs

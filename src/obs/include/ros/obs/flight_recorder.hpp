@@ -3,18 +3,17 @@
 // Unlike the Chrome TraceExporter (opt-in, unbounded, written to a file
 // for offline viewing), the flight recorder answers the post-mortem
 // question "what was each thread doing in the last N events before the
-// crash/stall". It is designed to stay enabled in production:
+// crash". It is designed to stay enabled in production:
 //
-//   * Each thread owns a fixed-capacity ring of 24-byte FlightEvent
-//     records (default 4096 events per thread; ROS_OBS_FLIGHT_CAPACITY
-//     overrides). Writes are single-writer plain stores plus one
-//     release store of the head index: no locks, no allocation after
-//     the ring is created on the thread's first event.
+//   * Each thread owns a ring of kRingCapacity 24-byte FlightEvent
+//     records. Writes are single-writer plain stores plus one release
+//     store of the head index: no locks, no allocation after the ring
+//     is created on the thread's first event.
 //   * Span capture is sampled: 1 in `sample_period()` spans is recorded
-//     (default 8; ROS_OBS_FLIGHT_SAMPLE overrides, 1 = every span).
-//     Discrete events recorded explicitly (frame ids, RNG stream seeds,
-//     queue depths, stalls) are never sampled away by this knob — the
-//     caller decides, usually reusing the same sampling gate per frame.
+//     (default 8; set_sample_period(1) records every span). Discrete
+//     events recorded explicitly (frame ids, RNG stream seeds, queue
+//     depths) are never sampled away by this knob — the caller decides,
+//     usually reusing the same sampling gate per frame.
 //   * Names are interned into a bounded table (kMaxNames); the table
 //     overflowing maps further names onto id 0 ("!overflow") rather
 //     than growing.
@@ -22,7 +21,7 @@
 //     buffer and write(2) only — usable (best-effort) from a signal
 //     handler; to_json() is the comfortable in-process variant.
 //
-// ROS_OBS_FLIGHT=off|0 disables recording entirely (record() becomes a
+// set_enabled(false) disables recording entirely (record() becomes a
 // single relaxed load + branch).
 #pragma once
 
@@ -44,7 +43,6 @@ enum class FlightKind : std::uint8_t {
   rng_seed = 4,     ///< value = derived RNG stream seed
   queue_depth = 5,  ///< value = queue length at t_us
   arena_hwm = 6,    ///< value = arena high-water bytes
-  stall = 7,        ///< value = armed item (frame id); watchdog-flagged
   stream_emit = 8,  ///< value = frame index an early readout fired at
 };
 
@@ -64,8 +62,10 @@ class FlightRecorder {
  public:
   static constexpr std::uint32_t kMaxNames = 1024;
 
-  /// Process-wide recorder; first access reads ROS_OBS_FLIGHT,
-  /// ROS_OBS_FLIGHT_CAPACITY, and ROS_OBS_FLIGHT_SAMPLE.
+  /// Events per thread ring.
+  static constexpr std::size_t kRingCapacity = 4096;
+
+  /// Process-wide recorder.
   static FlightRecorder& global();
 
   FlightRecorder(const FlightRecorder&) = delete;
@@ -82,10 +82,10 @@ class FlightRecorder {
   /// 1 records every span; n records 1 in n (per thread).
   void set_sample_period(std::uint32_t period);
 
-  std::size_t ring_capacity() const { return ring_capacity_; }
+  std::size_t ring_capacity() const { return kRingCapacity; }
   /// Fixed bytes per participating thread (ring storage only).
   std::size_t bytes_per_thread() const {
-    return ring_capacity_ * sizeof(FlightEvent);
+    return kRingCapacity * sizeof(FlightEvent);
   }
 
   /// Intern `name`; stable id for the process lifetime. Returns 0 once
@@ -143,7 +143,6 @@ class FlightRecorder {
 
   std::atomic<bool> enabled_{true};
   std::atomic<std::uint32_t> sample_period_{8};
-  std::size_t ring_capacity_ = 4096;
 
   mutable std::mutex names_mu_;
   std::vector<std::string> names_;  ///< index = id; [0] = "!overflow"

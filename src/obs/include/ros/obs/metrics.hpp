@@ -20,8 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "ros/obs/window.hpp"
-
 namespace ros::obs {
 
 class Counter {
@@ -93,26 +91,10 @@ struct HistogramSnapshot {
   double quantile(double q) const;
 };
 
-/// Windowed histogram state at snapshot time: a HistogramSnapshot over
-/// only the live window, plus the window width.
-struct WindowedHistogramSnapshot {
-  std::string name;
-  double window_s = 0.0;
-  std::vector<double> upper_edges;
-  std::vector<std::uint64_t> bucket_counts;  ///< last entry = overflow
-  std::uint64_t count = 0;
-  double sum = 0.0;
-
-  double quantile(double q) const;
-};
-
 struct MetricsSnapshot {
   std::vector<std::pair<std::string, std::uint64_t>> counters;
   std::vector<std::pair<std::string, double>> gauges;
   std::vector<HistogramSnapshot> histograms;
-  /// EWMA rates, decayed to snapshot time (events/s).
-  std::vector<std::pair<std::string, double>> rates;
-  std::vector<WindowedHistogramSnapshot> windowed;
 
   std::string to_json() const;
   /// Prometheus text exposition format (one ros_* family per instrument
@@ -136,13 +118,6 @@ class MetricsRegistry {
   /// default_latency_buckets_ms().
   Histogram& histogram(std::string_view name,
                        std::span<const double> upper_edges = {});
-  /// EWMA events/s rate; `halflife_s` is used only on first creation.
-  EwmaRate& rate(std::string_view name, double halflife_s = 10.0);
-  /// Sliding-window histogram; window/epoch/edge parameters are used
-  /// only on first creation.
-  SlidingHistogram& windowed_histogram(
-      std::string_view name, std::span<const double> upper_edges = {},
-      double window_s = 60.0, std::size_t epochs = 12);
 
   MetricsSnapshot snapshot() const;
   std::string to_json() const { return snapshot().to_json(); }
@@ -157,9 +132,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>>
       histograms_;
-  std::map<std::string, std::unique_ptr<EwmaRate>, std::less<>> rates_;
-  std::map<std::string, std::unique_ptr<SlidingHistogram>, std::less<>>
-      windowed_;
 };
 
 }  // namespace ros::obs

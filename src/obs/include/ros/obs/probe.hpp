@@ -21,7 +21,7 @@
 //     reported a failure reason (e.g. no_read), the decoded bits
 //     mismatch the caller-provided expected bits, or the caller aborts
 //     the read (fuzz invariant violation, exception). `always` writes
-//     every captured read, subject to ROS_OBS_PROBE_SAMPLE (capture 1
+//     every captured read, subject to set_sample_period() (capture 1
 //     in N reads; default 1).
 //   * Bundles are self-contained for replay: build/host/runtime info,
 //     config digest, master noise seed (per-frame streams re-derive via
@@ -56,7 +56,7 @@ const char* to_string(Mode m);
 /// always; anything else -> off.
 Mode parse_mode(std::string_view s);
 
-/// Active mode; first call reads ROS_OBS_PROBE / ROS_OBS_PROBE_SAMPLE.
+/// Active mode; first call reads ROS_OBS_PROBE.
 Mode mode();
 void set_mode(Mode m);
 /// Capture 1 in `n` reads in Mode::always (failure mode captures every

@@ -19,6 +19,10 @@
 
 namespace ros::obs {
 
+/// Seconds on the steady clock since process start (same epoch for all
+/// callers; monotonic, never wall-clock). For differences only.
+double monotonic_s();
+
 class ScopedTimer {
  public:
   explicit ScopedTimer(std::string name,

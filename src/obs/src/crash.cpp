@@ -5,21 +5,19 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "ros/obs/bench.hpp"
-#include "ros/obs/export.hpp"
 #include "ros/obs/flight_recorder.hpp"
 #include "ros/obs/json.hpp"
-#include "ros/obs/log.hpp"
 #include "ros/obs/metrics.hpp"
+#include "ros/obs/timer.hpp"
 #include "ros/obs/trace.hpp"
-#include "ros/obs/window.hpp"
 
 namespace ros::obs {
 
@@ -120,8 +118,6 @@ std::string write_diagnostics_bundle(std::string_view reason) {
 
   write_text_file(dir + "/metrics.json",
                   MetricsRegistry::global().snapshot().to_json());
-  write_text_file(dir + "/series.json",
-                  SnapshotExporter::global().series_json());
   return dir;
 }
 
@@ -135,7 +131,6 @@ void install_crash_handlers() {
   (void)TraceExporter::global();
   (void)FlightRecorder::global();
   (void)MetricsRegistry::global();
-  (void)SnapshotExporter::global();
   struct sigaction sa;
   std::memset(&sa, 0, sizeof(sa));
   sa.sa_handler = ros_obs_crash_handler;
@@ -160,108 +155,6 @@ void maybe_install_crash_handlers_from_env() {
     return true;
   }();
   (void)done;
-}
-
-Watchdog& Watchdog::global() {
-  static Watchdog* watchdog = new Watchdog();  // leaked: poller-safe
-  return *watchdog;
-}
-
-Watchdog::Slot& Watchdog::thread_slot() {
-  thread_local Slot* cached = nullptr;
-  if (cached == nullptr) {
-    const std::scoped_lock lock(slots_mu_);
-    slots_.push_back(std::make_unique<Slot>());
-    slots_.back()->tid = static_cast<std::uint16_t>(
-        TraceExporter::this_thread_id() & 0xffff);
-    cached = slots_.back().get();
-  }
-  return *cached;
-}
-
-void Watchdog::arm(std::string_view name, double deadline_ms,
-                   std::uint64_t frame) {
-  Slot& slot = thread_slot();
-  slot.name_id.store(FlightRecorder::global().intern(name),
-                     std::memory_order_relaxed);
-  slot.frame.store(frame, std::memory_order_relaxed);
-  slot.flagged.store(false, std::memory_order_relaxed);
-  const auto deadline_us = static_cast<std::int64_t>(
-      (monotonic_s() + deadline_ms / 1000.0) * 1e6);
-  // Release so the poller sees name/frame once the deadline is live.
-  slot.deadline_us.store(std::max<std::int64_t>(deadline_us, 1),
-                         std::memory_order_release);
-}
-
-void Watchdog::disarm() {
-  thread_slot().deadline_us.store(0, std::memory_order_release);
-}
-
-std::size_t Watchdog::poll_now_at(double now_s) {
-  const auto now_us = static_cast<std::int64_t>(now_s * 1e6);
-  std::size_t newly_flagged = 0;
-  const std::scoped_lock lock(slots_mu_);
-  for (const auto& slot : slots_) {
-    const std::int64_t deadline =
-        slot->deadline_us.load(std::memory_order_acquire);
-    if (deadline == 0 || now_us <= deadline) continue;
-    if (slot->flagged.exchange(true, std::memory_order_relaxed)) {
-      continue;  // already reported this arm
-    }
-    ++newly_flagged;
-    stalls_.fetch_add(1, std::memory_order_relaxed);
-    const std::uint64_t frame =
-        slot->frame.load(std::memory_order_relaxed);
-    const std::uint32_t name_id =
-        slot->name_id.load(std::memory_order_relaxed);
-    MetricsRegistry::global().counter("obs.watchdog.stalls").inc();
-    FlightRecorder::global().record(FlightKind::stall, name_id, frame);
-    ROS_LOG_WARN("obs", "watchdog: frame past deadline",
-                 kv("frame", frame), kv("tid", slot->tid),
-                 kv("overdue_us", now_us - deadline));
-  }
-  return newly_flagged;
-}
-
-std::size_t Watchdog::poll_now() { return poll_now_at(monotonic_s()); }
-
-void Watchdog::start(double poll_ms) {
-  bool expected = false;
-  if (!running_.compare_exchange_strong(expected, true)) return;
-  stop_requested_.store(false, std::memory_order_relaxed);
-  thread_ = std::thread([this, poll_ms] { thread_main(poll_ms); });
-}
-
-void Watchdog::stop() {
-  if (!running_.load(std::memory_order_relaxed)) return;
-  {
-    const std::scoped_lock lock(wake_mu_);
-    stop_requested_.store(true, std::memory_order_relaxed);
-  }
-  wake_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  running_.store(false, std::memory_order_relaxed);
-}
-
-void Watchdog::thread_main(double poll_ms) {
-  const auto interval =
-      std::chrono::duration<double, std::milli>(std::max(poll_ms, 1.0));
-  std::unique_lock lock(wake_mu_);
-  while (!stop_requested_.load(std::memory_order_relaxed)) {
-    wake_cv_.wait_for(lock, interval, [this] {
-      return stop_requested_.load(std::memory_order_relaxed);
-    });
-    if (stop_requested_.load(std::memory_order_relaxed)) break;
-    lock.unlock();
-    const std::size_t flagged = poll_now();
-    if (flagged > 0) {
-      if (const char* v = std::getenv("ROS_OBS_WATCHDOG_BUNDLE");
-          v != nullptr && std::strcmp(v, "1") == 0) {
-        write_diagnostics_bundle("stall");
-      }
-    }
-    lock.lock();
-  }
 }
 
 }  // namespace ros::obs

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
-#include <vector>
 
 #include "ros/obs/json.hpp"
 #include "ros/obs/metrics.hpp"
@@ -12,15 +11,6 @@
 namespace ros::obs {
 
 namespace {
-
-double env_interval_s() {
-  const char* v = std::getenv("ROS_OBS_EXPORT_INTERVAL_MS");
-  if (v == nullptr || *v == '\0') return 1.0;
-  char* end = nullptr;
-  const double ms = std::strtod(v, &end);
-  if (end == v || ms <= 0.0) return 1.0;
-  return ms / 1000.0;
-}
 
 std::string env_path(const char* name) {
   const char* v = std::getenv(name);
@@ -51,7 +41,6 @@ bool replace_file(const std::string& path, const std::string& body) {
 SnapshotExporter::SnapshotExporter(Options options)
     : options_(std::move(options)) {
   if (options_.interval_s <= 0.0) options_.interval_s = 1.0;
-  if (options_.ring_capacity < 2) options_.ring_capacity = 2;
 }
 
 SnapshotExporter::~SnapshotExporter() { stop(); }
@@ -61,7 +50,6 @@ SnapshotExporter& SnapshotExporter::global() {
     Options opt;
     opt.jsonl_path = env_path("ROS_OBS_EXPORT_FILE");
     opt.prom_path = env_path("ROS_OBS_PROM_FILE");
-    opt.interval_s = env_interval_s();
     // Leaked intentionally: the export thread may outlive static
     // teardown order otherwise (it reads the metrics registry).
     // Touch the registry first so its teardown is ordered after the
@@ -120,24 +108,6 @@ void SnapshotExporter::thread_main() {
 
 bool SnapshotExporter::tick_at(double now_s) {
   const MetricsSnapshot snap = MetricsRegistry::global().snapshot();
-  {
-    const std::scoped_lock lock(series_mu_);
-    const auto fold = [&](const std::string& name, double v) {
-      auto it = series_.find(name);
-      if (it == series_.end()) {
-        it = series_
-                 .emplace(name, std::make_unique<TimeSeriesRing>(
-                                    options_.ring_capacity))
-                 .first;
-      }
-      it->second->push(now_s, v);
-    };
-    for (const auto& [name, v] : snap.counters) {
-      fold(name, static_cast<double>(v));
-    }
-    for (const auto& [name, v] : snap.gauges) fold(name, v);
-    for (const auto& [name, v] : snap.rates) fold(name, v);
-  }
   bool ok = true;
   if (!options_.jsonl_path.empty()) {
     JsonWriter w;
@@ -152,36 +122,6 @@ bool SnapshotExporter::tick_at(double now_s) {
   }
   ticks_.fetch_add(1, std::memory_order_relaxed);
   return ok;
-}
-
-std::string SnapshotExporter::series_json() const {
-  JsonWriter w;
-  w.begin_object();
-  w.key("schema").value("ros-series-v1");
-  w.key("ring_capacity")
-      .value(static_cast<std::uint64_t>(options_.ring_capacity));
-  w.key("series").begin_object();
-  {
-    const std::scoped_lock lock(series_mu_);
-    for (const auto& [name, ring] : series_) {
-      w.key(name).begin_array();
-      for (const auto& [t, v] : ring->samples()) {
-        w.begin_array();
-        w.value(t);
-        w.value(v);
-        w.end_array();
-      }
-      w.end_array();
-    }
-  }
-  w.end_object();
-  w.end_object();
-  return w.take();
-}
-
-void SnapshotExporter::clear_series() {
-  const std::scoped_lock lock(series_mu_);
-  series_.clear();
 }
 
 }  // namespace ros::obs

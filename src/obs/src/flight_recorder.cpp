@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 
 #include "ros/obs/json.hpp"
@@ -24,16 +22,6 @@ std::map<std::string, std::uint32_t, std::less<>>& intern_index() {
 
 thread_local std::uint32_t t_sample_countdown = 0;
 thread_local bool t_sample_primed = false;
-
-std::size_t env_size(const char* name, std::size_t fallback,
-                     std::size_t lo, std::size_t hi) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0' || parsed <= 0) return fallback;
-  return std::clamp(static_cast<std::size_t>(parsed), lo, hi);
-}
 
 /// write(2) the whole buffer; EINTR-tolerant.
 bool write_all(int fd, const char* data, std::size_t n) noexcept {
@@ -57,7 +45,6 @@ const char* to_string(FlightKind kind) {
     case FlightKind::rng_seed: return "rng_seed";
     case FlightKind::queue_depth: return "queue_depth";
     case FlightKind::arena_hwm: return "arena_hwm";
-    case FlightKind::stall: return "stall";
     case FlightKind::stream_emit: return "stream_emit";
   }
   return "unknown";
@@ -66,17 +53,6 @@ const char* to_string(FlightKind kind) {
 FlightRecorder::FlightRecorder() {
   names_.reserve(64);
   names_.emplace_back("!overflow");
-  if (const char* v = std::getenv("ROS_OBS_FLIGHT");
-      v != nullptr &&
-      (std::strcmp(v, "off") == 0 || std::strcmp(v, "0") == 0)) {
-    enabled_.store(false, std::memory_order_relaxed);
-  }
-  ring_capacity_ =
-      env_size("ROS_OBS_FLIGHT_CAPACITY", 4096, 64, std::size_t{1} << 20);
-  sample_period_.store(
-      static_cast<std::uint32_t>(
-          env_size("ROS_OBS_FLIGHT_SAMPLE", 8, 1, 1u << 20)),
-      std::memory_order_relaxed);
 }
 
 FlightRecorder& FlightRecorder::global() {
@@ -124,7 +100,7 @@ FlightRecorder::Ring& FlightRecorder::thread_ring() {
   if (cached == nullptr) {
     const std::scoped_lock lock(rings_mu_);
     rings_.push_back(std::make_unique<Ring>(
-        ring_capacity_, static_cast<std::uint16_t>(
+        kRingCapacity, static_cast<std::uint16_t>(
                             TraceExporter::this_thread_id() & 0xffff)));
     cached = rings_.back().get();
   }
@@ -186,7 +162,7 @@ std::string FlightRecorder::to_json() const {
   JsonWriter w;
   w.begin_object();
   w.key("schema").value("ros-flight-v1");
-  w.key("ring_capacity").value(static_cast<std::uint64_t>(ring_capacity_));
+  w.key("ring_capacity").value(static_cast<std::uint64_t>(kRingCapacity));
   w.key("sample_period").value(static_cast<std::uint64_t>(sample_period()));
   w.key("threads").value(static_cast<std::uint64_t>(thread_count()));
   w.key("dropped").value(dropped());
@@ -221,7 +197,7 @@ int FlightRecorder::dump_json_fd(int fd) const noexcept {
   int n = std::snprintf(buf, sizeof(buf),
                         "{\"schema\":\"ros-flight-v1\",\"ring_capacity\""
                         ":%zu,\"sample_period\":%u,\"names\":[",
-                        ring_capacity_, sample_period());
+                        kRingCapacity, sample_period());
   if (n < 0 || !write_all(fd, buf, static_cast<std::size_t>(n))) return -1;
   for (std::size_t i = 0; i < names_.size(); ++i) {
     // Interned names are code literals (stage ids); escape the two

@@ -92,34 +92,6 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
   return *it->second;
 }
 
-EwmaRate& MetricsRegistry::rate(std::string_view name,
-                                double halflife_s) {
-  const std::scoped_lock lock(mu_);
-  auto it = rates_.find(name);
-  if (it == rates_.end()) {
-    it = rates_
-             .emplace(std::string(name),
-                      std::make_unique<EwmaRate>(halflife_s))
-             .first;
-  }
-  return *it->second;
-}
-
-SlidingHistogram& MetricsRegistry::windowed_histogram(
-    std::string_view name, std::span<const double> upper_edges,
-    double window_s, std::size_t epochs) {
-  const std::scoped_lock lock(mu_);
-  auto it = windowed_.find(name);
-  if (it == windowed_.end()) {
-    it = windowed_
-             .emplace(std::string(name),
-                      std::make_unique<SlidingHistogram>(
-                          upper_edges, window_s, epochs))
-             .first;
-  }
-  return *it->second;
-}
-
 MetricsSnapshot MetricsRegistry::snapshot() const {
   const std::scoped_lock lock(mu_);
   MetricsSnapshot snap;
@@ -141,22 +113,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
     hs.sum = h->sum();
     snap.histograms.push_back(std::move(hs));
   }
-  snap.rates.reserve(rates_.size());
-  for (const auto& [name, r] : rates_) {
-    snap.rates.emplace_back(name, r->rate_per_s());
-  }
-  snap.windowed.reserve(windowed_.size());
-  for (const auto& [name, wh] : windowed_) {
-    WindowSnapshot ws = wh->merged();
-    WindowedHistogramSnapshot out;
-    out.name = name;
-    out.window_s = ws.window_s;
-    out.upper_edges = std::move(ws.upper_edges);
-    out.bucket_counts = std::move(ws.bucket_counts);
-    out.count = ws.count;
-    out.sum = ws.sum;
-    snap.windowed.push_back(std::move(out));
-  }
   return snap;
 }
 
@@ -165,15 +121,9 @@ void MetricsRegistry::clear() {
   counters_.clear();
   gauges_.clear();
   histograms_.clear();
-  rates_.clear();
-  windowed_.clear();
 }
 
 double HistogramSnapshot::quantile(double q) const {
-  return quantile_from_buckets(upper_edges, bucket_counts, q);
-}
-
-double WindowedHistogramSnapshot::quantile(double q) const {
   return quantile_from_buckets(upper_edges, bucket_counts, q);
 }
 
@@ -189,27 +139,6 @@ std::string MetricsSnapshot::to_json() const {
   w.key("histograms").begin_object();
   for (const auto& h : histograms) {
     w.key(h.name).begin_object();
-    w.key("count").value(h.count);
-    w.key("sum").value(h.sum);
-    w.key("p50").value(h.quantile(0.50));
-    w.key("p90").value(h.quantile(0.90));
-    w.key("p99").value(h.quantile(0.99));
-    w.key("upper_edges").begin_array();
-    for (double e : h.upper_edges) w.value(e);
-    w.end_array();
-    w.key("bucket_counts").begin_array();
-    for (std::uint64_t c : h.bucket_counts) w.value(c);
-    w.end_array();
-    w.end_object();
-  }
-  w.end_object();
-  w.key("rates").begin_object();
-  for (const auto& [name, v] : rates) w.key(name).value(v);
-  w.end_object();
-  w.key("windowed").begin_object();
-  for (const auto& h : windowed) {
-    w.key(h.name).begin_object();
-    w.key("window_s").value(h.window_s);
     w.key("count").value(h.count);
     w.key("sum").value(h.sum);
     w.key("p50").value(h.quantile(0.50));
@@ -252,29 +181,23 @@ void prom_number(std::string& out, double v) {
   out += buf;
 }
 
-void prom_histogram(std::string& out, const char* family,
-                    std::string_view name,
-                    const std::vector<double>& edges,
-                    const std::vector<std::uint64_t>& buckets,
-                    std::uint64_t count, double sum) {
-  const std::string label = prom_escape(name);
+void prom_histogram(std::string& out, const HistogramSnapshot& h) {
+  const std::string label = prom_escape(h.name);
   std::uint64_t cumulative = 0;
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    cumulative += buckets[b];
-    out += family;
-    out += "_bucket{name=\"" + label + "\",le=\"";
-    if (b < edges.size()) {
-      prom_number(out, edges[b]);
+  for (std::size_t b = 0; b < h.bucket_counts.size(); ++b) {
+    cumulative += h.bucket_counts[b];
+    out += "ros_histogram_bucket{name=\"" + label + "\",le=\"";
+    if (b < h.upper_edges.size()) {
+      prom_number(out, h.upper_edges[b]);
     } else {
       out += "+Inf";
     }
     out += "\"} " + std::to_string(cumulative) + "\n";
   }
-  out += family;
-  out += "_count{name=\"" + label + "\"} " + std::to_string(count) + "\n";
-  out += family;
-  out += "_sum{name=\"" + label + "\"} ";
-  prom_number(out, sum);
+  out += "ros_histogram_count{name=\"" + label + "\"} " +
+         std::to_string(h.count) + "\n";
+  out += "ros_histogram_sum{name=\"" + label + "\"} ";
+  prom_number(out, h.sum);
   out += "\n";
 }
 
@@ -296,22 +219,8 @@ std::string MetricsSnapshot::to_prometheus() const {
     prom_number(out, v);
     out += "\n";
   }
-  out += "# TYPE ros_rate gauge\n";
-  for (const auto& [name, v] : rates) {
-    out += "ros_rate{name=\"" + prom_escape(name) + "\"} ";
-    prom_number(out, v);
-    out += "\n";
-  }
   out += "# TYPE ros_histogram histogram\n";
-  for (const auto& h : histograms) {
-    prom_histogram(out, "ros_histogram", h.name, h.upper_edges,
-                   h.bucket_counts, h.count, h.sum);
-  }
-  out += "# TYPE ros_window_histogram histogram\n";
-  for (const auto& h : windowed) {
-    prom_histogram(out, "ros_window_histogram", h.name, h.upper_edges,
-                   h.bucket_counts, h.count, h.sum);
-  }
+  for (const auto& h : histograms) prom_histogram(out, h);
   return out;
 }
 

@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "ros/obs/bench.hpp"
@@ -28,17 +27,7 @@ std::atomic<int> g_seq{0};
 
 int env_mode() {
   const char* v = std::getenv("ROS_OBS_PROBE");
-  const Mode m = v == nullptr ? Mode::off : parse_mode(v);
-  if (const char* s = std::getenv("ROS_OBS_PROBE_SAMPLE");
-      s != nullptr && *s != '\0') {
-    char* end = nullptr;
-    const long n = std::strtol(s, &end, 10);
-    if (end != s && n > 0) {
-      g_sample_period.store(static_cast<std::uint32_t>(n),
-                            std::memory_order_relaxed);
-    }
-  }
-  return static_cast<int>(m);
+  return static_cast<int>(v == nullptr ? Mode::off : parse_mode(v));
 }
 
 int mode_raw() {

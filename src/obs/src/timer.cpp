@@ -1,9 +1,18 @@
 #include "ros/obs/timer.hpp"
 
+#include <chrono>
+
 #include "ros/obs/flight_recorder.hpp"
 #include "ros/obs/trace.hpp"
 
 namespace ros::obs {
+
+double monotonic_s() {
+  static const auto epoch = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       epoch)
+      .count();
+}
 
 ScopedTimer::ScopedTimer(std::string name, std::string category,
                          Histogram* histogram_ms)

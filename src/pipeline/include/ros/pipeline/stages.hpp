@@ -180,18 +180,13 @@ void record_funnel(const PipelineTelemetry& t);
 void record_read_funnel(bool detected, bool clustered, bool aperture,
                         bool decoded);
 
-/// Per-frame stall budget for the watchdog: ROS_OBS_FRAME_DEADLINE_MS
-/// (<= 0 disables the guard), default 5000 ms.
-double frame_deadline_ms();
-
 /// Observability session setup shared by every entry point: start the
 /// env-configured snapshot exporter and crash handlers (both no-ops
 /// without their env vars), cheap after the first call.
 void obs_session_begin();
 
-/// Post-loop runtime introspection: arena high-water marks, pool
-/// activity, and the live frame rate, as gauges plus (sampled) flight
-/// events.
-void record_runtime_introspection(std::size_t n_frames);
+/// Post-loop runtime introspection: arena high-water marks and pool
+/// activity, as gauges plus (sampled) flight events.
+void record_runtime_introspection();
 
 }  // namespace ros::pipeline

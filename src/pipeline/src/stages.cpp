@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "ros/common/random.hpp"
@@ -296,18 +295,6 @@ void record_read_funnel(bool detected, bool clustered, bool aperture,
   if (clustered) reg.counter("pipeline.funnel.clustered").inc();
   if (aperture) reg.counter("pipeline.funnel.aperture_sufficient").inc();
   if (decoded) reg.counter("pipeline.funnel.decoded").inc();
-  reg.rate("pipeline.funnel.read_rate").tick(1.0);
-}
-
-double frame_deadline_ms() {
-  static const double v = [] {
-    const char* e = std::getenv("ROS_OBS_FRAME_DEADLINE_MS");
-    if (e == nullptr || *e == '\0') return 5000.0;
-    char* end = nullptr;
-    const double ms = std::strtod(e, &end);
-    return end == e ? 5000.0 : ms;
-  }();
-  return v;
 }
 
 void obs_session_begin() {
@@ -315,7 +302,7 @@ void obs_session_begin() {
   ros::obs::maybe_install_crash_handlers_from_env();
 }
 
-void record_runtime_introspection(std::size_t n_frames) {
+void record_runtime_introspection() {
   auto& reg = ros::obs::MetricsRegistry::global();
   const std::size_t arena_hwm = ros::exec::Arena::global_high_water();
   reg.gauge("exec.arena.high_water_bytes")
@@ -323,7 +310,6 @@ void record_runtime_introspection(std::size_t n_frames) {
   const ros::exec::PoolStats ps = ros::exec::ThreadPool::global().stats();
   reg.gauge("exec.pool.threads").set(static_cast<double>(ps.threads));
   reg.gauge("exec.pool.regions").set(static_cast<double>(ps.regions));
-  reg.rate("pipeline.frames.rate").tick(static_cast<double>(n_frames));
   auto& flight = ros::obs::FlightRecorder::global();
   if (flight.enabled()) {
     static const std::uint32_t arena_id = flight.intern("exec.arena");

@@ -1,6 +1,5 @@
 #include "ros/pipeline/streaming.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <iterator>
 #include <utility>
@@ -9,7 +8,6 @@
 #include "ros/common/units.hpp"
 #include "ros/exec/thread_pool.hpp"
 #include "ros/obs/alloc.hpp"
-#include "ros/obs/crash.hpp"
 #include "ros/obs/flight_recorder.hpp"
 #include "ros/obs/log.hpp"
 #include "ros/obs/metrics.hpp"
@@ -30,12 +28,6 @@ constexpr const char* kLog = "pipeline";
 /// to_decoder_series' default RSS floor, mirrored so the incremental
 /// series filter is bit-identical to the batch filter.
 constexpr double kMinRssDbm = -1e9;
-
-double monotonic_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 Vec2 road_of(const ros::scene::StraightDrive& drive) {
   return drive.velocity() * (1.0 / std::max(drive.velocity().norm(), 1e-9));
@@ -236,12 +228,12 @@ void StreamingInterrogator::consume(FramePacket&& packet) {
   ROS_EXPECT(!finalized_, "stream already finalized");
   ROS_EXPECT(packet.index == consumed_,
              "frames must be consumed in order");
-  const double t0 = monotonic_ms();
+  const double t0 = ros::obs::monotonic_s();
   const std::size_t i = packet.index;
   const RadarPose truth =
       drive_->pose_at(static_cast<double>(i) / rate_hz_);
   const RadarPose est = tracker_.next(truth);
-  const double t1 = monotonic_ms();
+  const double t1 = ros::obs::monotonic_s();
 
   if (decode_mode_) {
     if (probing_) range_capture_.add(i, packet.profile);
@@ -287,8 +279,8 @@ void StreamingInterrogator::consume(FramePacket&& packet) {
     }
   }
   ++consumed_;
-  track_ms_ += t1 - t0;
-  frame_state_ms_ += monotonic_ms() - t1;
+  track_ms_ += (t1 - t0) * 1000.0;
+  frame_state_ms_ += (ros::obs::monotonic_s() - t1) * 1000.0;
 }
 
 void StreamingInterrogator::evict_before(std::size_t min_live_frame) {
@@ -317,12 +309,9 @@ void StreamingInterrogator::push_all() {
   const std::size_t first = consumed_;
   auto& reg = ros::obs::MetricsRegistry::global();
   ros::obs::Histogram& frame_hist = reg.histogram(names.frame_ms);
-  ros::obs::SlidingHistogram& frame_whist =
-      reg.windowed_histogram(names.frame_ms);
   auto& flight = ros::obs::FlightRecorder::global();
   const std::uint32_t frame_id = flight.intern(names.frame);
   const std::uint32_t rng_id = flight.intern(names.rng_stream);
-  const double deadline_ms = frame_deadline_ms();
 
   // One trace span for the whole frame loop; per-frame cost goes to the
   // frame histograms (per-frame spans would swamp the trace at 1 kHz).
@@ -332,10 +321,10 @@ void StreamingInterrogator::push_all() {
       std::min(kBlockFrames, n_frames_ - first));
   for (std::size_t base = first; base < n_frames_; base += block.size()) {
     const std::size_t count = std::min(block.size(), n_frames_ - base);
-    const double t0 = monotonic_ms();
+    const double t0 = ros::obs::monotonic_s();
     ros::exec::parallel_for(0, count, [&](std::size_t k) {
       const std::size_t i = base + k;
-      const double frame_t0 = monotonic_ms();
+      const double frame_t0 = ros::obs::monotonic_s();
       // One sampling decision covers the frame's begin/seed/end records
       // so sampled frames land complete in the flight ring.
       const bool sampled = flight.enabled() && flight.should_sample();
@@ -344,23 +333,20 @@ void StreamingInterrogator::push_all() {
         flight.record(ros::obs::FlightKind::rng_seed, rng_id,
                       stage_.stream_seed(i));
       }
-      const ros::obs::Watchdog::Guard wd(names.frame, deadline_ms, i);
       synthesize_into(i, block[k]);
-      const double frame_ms = monotonic_ms() - frame_t0;
-      frame_hist.observe(frame_ms);
-      frame_whist.observe(frame_ms);
+      frame_hist.observe((ros::obs::monotonic_s() - frame_t0) * 1000.0);
       if (sampled) {
         flight.record(ros::obs::FlightKind::frame_end, frame_id, i);
       }
     });
-    frames_wall_ms_ += monotonic_ms() - t0;
+    frames_wall_ms_ += (ros::obs::monotonic_s() - t0) * 1000.0;
     // In-order consume on the calling thread: the state machine's
     // bit-determinism needs frame order, not a particular schedule.
     for (std::size_t k = 0; k < count; ++k) consume(std::move(block[k]));
   }
   record_frame_loop_allocs(names.allocs_per_frame, allocs_before,
                            n_frames_ - first);
-  record_runtime_introspection(n_frames_ - first);
+  record_runtime_introspection();
 }
 
 void StreamingInterrogator::maybe_early_emit(std::size_t frame_index) {

@@ -64,6 +64,17 @@ TEST(Random, NormalMoments) {
   EXPECT_NEAR(var, 9.0, 0.4);
 }
 
+TEST(Random, NormalZeroStddevReturnsMeanAndKeepsDrawCount) {
+  rc::Rng zero(23);
+  rc::Rng unit(23);
+  EXPECT_EQ(zero.normal(4.5, 0.0), 4.5);
+  (void)unit.normal(0.0, 1.0);
+  // Same number of engine draws consumed either way, so the streams
+  // stay in lockstep afterwards.
+  EXPECT_EQ(zero.normal(), unit.normal());
+  EXPECT_EQ(zero.uniform(0.0, 1.0), unit.uniform(0.0, 1.0));
+}
+
 TEST(Random, BernoulliFrequency) {
   rc::Rng rng(17);
   int hits = 0;

@@ -1,6 +1,6 @@
 // Crash diagnostics: bundle writing, fatal-signal handlers (verified
 // end-to-end with death tests — the crashed child must leave a
-// complete, parseable bundle), and the stall watchdog.
+// complete, parseable bundle).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -15,7 +15,6 @@
 #include "ros/obs/flight_recorder.hpp"
 #include "ros/obs/json_parse.hpp"
 #include "ros/obs/metrics.hpp"
-#include "ros/obs/window.hpp"
 
 namespace ro = ros::obs;
 namespace fs = std::filesystem;
@@ -80,7 +79,6 @@ TEST(DiagnosticsBundle, DirectWriteProducesCompleteBundle) {
   expect_valid_json_file(dir + "/flight.json");
   expect_valid_json_file(dir + "/metrics.json");
   expect_valid_json_file(dir + "/provenance.json");
-  expect_valid_json_file(dir + "/series.json");
 
   const auto metrics = ro::json_parse(read_file(dir + "/metrics.json"));
   ASSERT_TRUE(metrics.has_value());
@@ -164,61 +162,6 @@ TEST(CrashHandlerDeathTest, SegfaultLeavesCompleteBundle) {
   EXPECT_EQ(flight->at("schema")->string, "ros-flight-v1");
   EXPECT_GT(flight->at("events")->array.size(), 0u);
   fs::remove_all(root);
-}
-
-TEST(Watchdog, FlagsExpiredFrameOnce) {
-  auto& wd = ro::Watchdog::global();
-  auto& reg = ro::MetricsRegistry::global();
-  const std::uint64_t stalls_before = wd.stall_count();
-  const double counter_before =
-      static_cast<double>(reg.counter("obs.watchdog.stalls").value());
-
-  wd.arm("watchdogtest.frame", /*deadline_ms=*/0.001, /*frame=*/41);
-  const double far_future = ro::monotonic_s() + 60.0;
-  EXPECT_EQ(wd.poll_now_at(far_future), 1u);
-  // Second poll of the same expired arm reports nothing new.
-  EXPECT_EQ(wd.poll_now_at(far_future + 1.0), 0u);
-  wd.disarm();
-  EXPECT_EQ(wd.stall_count(), stalls_before + 1);
-  EXPECT_DOUBLE_EQ(
-      static_cast<double>(reg.counter("obs.watchdog.stalls").value()),
-      counter_before + 1.0);
-}
-
-TEST(Watchdog, DisarmedSlotNeverFlags) {
-  auto& wd = ro::Watchdog::global();
-  wd.arm("watchdogtest.ok", /*deadline_ms=*/0.001, /*frame=*/7);
-  wd.disarm();
-  EXPECT_EQ(wd.poll_now_at(ro::monotonic_s() + 60.0), 0u);
-}
-
-TEST(Watchdog, RearmResetsFlag) {
-  auto& wd = ro::Watchdog::global();
-  wd.arm("watchdogtest.rearm", 0.001, 1);
-  const double future = ro::monotonic_s() + 60.0;
-  EXPECT_EQ(wd.poll_now_at(future), 1u);
-  wd.arm("watchdogtest.rearm", 0.001, 2);
-  EXPECT_EQ(wd.poll_now_at(future + 120.0), 1u);
-  wd.disarm();
-}
-
-TEST(Watchdog, GuardWithNonPositiveDeadlineIsNoop) {
-  auto& wd = ro::Watchdog::global();
-  {
-    const ro::Watchdog::Guard g("watchdogtest.noop", 0.0, 3);
-    EXPECT_EQ(wd.poll_now_at(ro::monotonic_s() + 60.0), 0u);
-  }
-  EXPECT_EQ(wd.poll_now_at(ro::monotonic_s() + 120.0), 0u);
-}
-
-TEST(Watchdog, PollerThreadStartsAndStops) {
-  auto& wd = ro::Watchdog::global();
-  wd.start(/*poll_ms=*/5.0);
-  EXPECT_TRUE(wd.running());
-  wd.start(5.0);  // idempotent
-  wd.stop();
-  EXPECT_FALSE(wd.running());
-  wd.stop();  // idempotent
 }
 
 TEST(CrashHandlers, EnvGateInstallsOnlyWhenSet) {

@@ -1,5 +1,5 @@
-// SnapshotExporter: JSONL/Prometheus export and the in-memory
-// time-series rings, all driven synchronously through tick_at().
+// SnapshotExporter: JSONL/Prometheus export, driven synchronously
+// through tick_at().
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -97,33 +97,6 @@ TEST(SnapshotExporter, PrometheusFileRewrittenAtomically) {
   reg.clear();
 }
 
-TEST(SnapshotExporter, SeriesRingsTrackScalarHistory) {
-  auto& reg = ro::MetricsRegistry::global();
-  reg.clear();
-  ro::SnapshotExporter::Options opt;
-  opt.ring_capacity = 4;
-  ro::SnapshotExporter exporter(opt);
-  for (int k = 1; k <= 6; ++k) {
-    reg.gauge("exporttest.series").set(static_cast<double>(k));
-    EXPECT_TRUE(exporter.tick_at(static_cast<double>(k)));
-  }
-  std::string err;
-  const auto doc = ro::json_parse(exporter.series_json(), &err);
-  ASSERT_TRUE(doc.has_value()) << err;
-  EXPECT_EQ(doc->at("schema")->string, "ros-series-v1");
-  const auto* series = doc->at("series", "exporttest.series");
-  ASSERT_NE(series, nullptr);
-  // Ring capacity 4: ticks 3..6 survive, oldest first.
-  ASSERT_EQ(series->array.size(), 4u);
-  EXPECT_DOUBLE_EQ(series->array[0].array[0].number, 3.0);
-  EXPECT_DOUBLE_EQ(series->array[0].array[1].number, 3.0);
-  EXPECT_DOUBLE_EQ(series->array[3].array[1].number, 6.0);
-  exporter.clear_series();
-  const auto cleared = ro::json_parse(exporter.series_json());
-  EXPECT_EQ(cleared->at("series")->object.size(), 0u);
-  reg.clear();
-}
-
 TEST(SnapshotExporter, BackgroundThreadStartsAndStopsCleanly) {
   ro::SnapshotExporter::Options opt;
   opt.interval_s = 0.01;
@@ -137,27 +110,4 @@ TEST(SnapshotExporter, BackgroundThreadStartsAndStopsCleanly) {
   exporter.stop();  // idempotent
   // The shutdown path runs one final tick.
   EXPECT_GE(exporter.ticks(), 1u);
-}
-
-TEST(SnapshotExporter, RatesAndWindowedInSnapshotJson) {
-  auto& reg = ro::MetricsRegistry::global();
-  reg.clear();
-  reg.rate("exporttest.rate");
-  reg.windowed_histogram("exporttest.whist").observe(2.0);
-  const auto snap = reg.snapshot();
-  std::string err;
-  const auto doc = ro::json_parse(snap.to_json(), &err);
-  ASSERT_TRUE(doc.has_value()) << err;
-  ASSERT_NE(doc->at("rates", "exporttest.rate"), nullptr);
-  const auto* wh = doc->at("windowed", "exporttest.whist");
-  ASSERT_NE(wh, nullptr);
-  EXPECT_DOUBLE_EQ(wh->at("count")->number_or(0), 1.0);
-  EXPECT_DOUBLE_EQ(wh->at("sum")->number_or(0), 2.0);
-  const std::string prom = snap.to_prometheus();
-  EXPECT_NE(prom.find("ros_rate{name=\"exporttest.rate\"}"),
-            std::string::npos);
-  EXPECT_NE(
-      prom.find("ros_window_histogram_count{name=\"exporttest.whist\"} 1"),
-      std::string::npos);
-  reg.clear();
 }

@@ -159,8 +159,8 @@ TEST(ZeroAlloc, BudgetsHoldWithFlightRecorderLive) {
     GTEST_SKIP() << "ROS_OBS_COUNT_ALLOCS is off";
   }
   // The v2 acceptance bar: the flight recorder must be on (its default)
-  // while the zero-alloc budgets above are met — sampled frame markers,
-  // RNG-seed breadcrumbs, and watchdog arms ride inside the budget.
+  // while the zero-alloc budgets above are met — sampled frame markers
+  // and RNG-seed breadcrumbs ride inside the budget.
   auto& fr = ros::obs::FlightRecorder::global();
   ASSERT_TRUE(fr.enabled())
       << "flight recorder should be on by default in tests";
