@@ -1,7 +1,9 @@
 // Observability overhead gate: times the decode_drive hot loop with the
-// flight recorder disabled and with it enabled at the default 1-in-8
-// span sampling, and reports the relative cost. The always-on recorder
-// is only acceptable if it stays under a few percent of frame time.
+// flight recorder disabled and with it enabled at its default sampling
+// (frame_begin / rng_seed / frame_end markers on 1 frame in 8; the
+// recorder holds no spans), and reports the relative cost. The
+// always-on recorder is only acceptable if it stays under a few percent
+// of frame time.
 //
 // Timing is machine-dependent, so the overhead percentage lands in the
 // metrics snapshot (obs.overhead.recorder_pct) and the CSV — never in
@@ -78,7 +80,7 @@ ROS_BENCH(obs_overhead) {
       off_ms > 0.0 ? (on_ms - off_ms) / off_ms * 100.0 : 0.0;
 
   common::CsvTable table(
-      "obs: decode_drive flight-recorder overhead (median of " +
+      "obs: decode_drive sampled flight-frame overhead (median of " +
           std::to_string(reps) + " reps)",
       {"recorder", "median_ms", "overhead_pct"});
   table.add_row("off", {off_ms, 0.0});

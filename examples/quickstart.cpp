@@ -60,9 +60,11 @@ int main(int argc, char** argv) {
          "%zu candidates -> %zu tag(s)%s\n",
          tel.n_frames, tel.n_points, tel.n_clusters, tel.n_candidates,
          tel.n_tags, tel.funnel_consistent() ? "" : "  [INCONSISTENT]");
+  // Layer times are measured thread time: with several threads the
+  // frame layers can add up to more than the read's wall time.
   printf("stage timings (of %.1f ms total):\n", tel.total_ms);
   for (const auto& s : tel.stages) {
-    printf("  %-14s %8.2f ms\n", s.stage.c_str(), s.ms);
+    printf("  %-18s %8.2f ms\n", s.stage.c_str(), s.ms);
   }
 
   if (report.tags.empty()) {

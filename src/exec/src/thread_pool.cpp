@@ -196,12 +196,10 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   }
   cv_.notify_all();
   reg.gauge("exec.pool.queue_depth").set(static_cast<double>(depth));
+  // One unsampled event per region: should_sample() gates frames only.
   auto& fr = ros::obs::FlightRecorder::global();
-  if (fr.enabled() && fr.should_sample()) {
-    static const std::uint32_t qd_id =
-        ros::obs::FlightRecorder::global().intern("exec.pool.queue_depth");
-    fr.record(ros::obs::FlightKind::queue_depth, qd_id, depth);
-  }
+  static const std::uint32_t qd_id = fr.intern("exec.pool.queue_depth");
+  fr.record(ros::obs::FlightKind::queue_depth, qd_id, depth);
 
   run_chunks(*job, /*is_worker=*/false);
 

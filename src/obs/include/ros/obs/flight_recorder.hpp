@@ -9,11 +9,12 @@
 //     records. Writes are single-writer plain stores plus one release
 //     store of the head index: no locks, no allocation after the ring
 //     is created on the thread's first event.
-//   * Span capture is sampled: 1 in `sample_period()` spans is recorded
-//     (default 8; set_sample_period(1) records every span). Discrete
-//     events recorded explicitly (frame ids, RNG stream seeds, queue
-//     depths) are never sampled away by this knob — the caller decides,
-//     usually reusing the same sampling gate per frame.
+//   * The ring holds no spans: those are the TraceExporter's (one span
+//     type, ScopedTimer). Frames are sampled: the frame loop asks
+//     should_sample() once per frame (1 in `sample_period()`, default
+//     8) and brackets each sampled frame with frame_begin / rng_seed /
+//     frame_end. Other discrete events (queue depths, arena high-water
+//     marks, early emits) are recorded unsampled.
 //   * Names are interned into a bounded table (kMaxNames); the table
 //     overflowing maps further names onto id 0 ("!overflow") rather
 //     than growing.
@@ -37,7 +38,6 @@ namespace ros::obs {
 
 enum class FlightKind : std::uint8_t {
   mark = 0,         ///< free-form point event
-  span = 1,         ///< value = duration us, t_us = span start
   frame_begin = 2,  ///< value = frame id
   frame_end = 3,    ///< value = frame id
   rng_seed = 4,     ///< value = derived RNG stream seed
@@ -49,7 +49,7 @@ enum class FlightKind : std::uint8_t {
 const char* to_string(FlightKind kind);
 
 struct FlightEvent {
-  std::int64_t t_us = 0;     ///< TraceExporter epoch microseconds
+  std::int64_t t_us = 0;     ///< TraceExporter::now_us()
   std::uint64_t value = 0;   ///< kind-specific payload
   std::uint32_t name_id = 0; ///< interned name (0 = "!overflow")
   std::uint16_t tid = 0;     ///< TraceExporter::this_thread_id()
@@ -79,7 +79,7 @@ class FlightRecorder {
   std::uint32_t sample_period() const {
     return sample_period_.load(std::memory_order_relaxed);
   }
-  /// 1 records every span; n records 1 in n (per thread).
+  /// 1 samples every frame; n samples 1 in n (per thread).
   void set_sample_period(std::uint32_t period);
 
   std::size_t ring_capacity() const { return kRingCapacity; }
@@ -103,10 +103,6 @@ class FlightRecorder {
   /// disabled. Never allocates after the thread's first record.
   void record(FlightKind kind, std::uint32_t name_id,
               std::uint64_t value);
-
-  /// Sampled span capture (ScopedTimer calls this on stop()).
-  void record_span(std::string_view name, std::int64_t start_us,
-                   std::int64_t dur_us);
 
   /// Merged copy of every thread's ring, ordered by t_us. Events being
   /// written concurrently may read torn — acceptable for diagnostics.

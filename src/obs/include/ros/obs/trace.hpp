@@ -5,9 +5,9 @@
 // path is set, either programmatically via enable() or with the
 // ROS_TRACE_FILE environment variable; with the env var set the file is
 // flushed automatically at process exit. Timestamps are microseconds on
-// the steady clock relative to the session epoch, and each OS thread
-// gets a small dense track id so nested spans from different threads
-// land on separate tracks.
+// monotonic_s()'s process epoch (shared with the flight recorder, never
+// reset by enable()), and each OS thread gets a small dense track id so
+// nested spans from different threads land on separate tracks.
 //
 // The file is written incrementally: enable() opens it and writes the
 // document prefix, batches of events are appended as they accumulate
@@ -20,7 +20,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <mutex>
@@ -33,7 +32,7 @@ namespace ros::obs {
 struct TraceEvent {
   std::string name;
   std::string category;
-  std::int64_t ts_us = 0;   ///< span start, relative to session epoch
+  std::int64_t ts_us = 0;   ///< span start, TraceExporter::now_us()
   std::int64_t dur_us = 0;  ///< span duration
   std::uint32_t tid = 0;    ///< per-thread track id
 };
@@ -59,8 +58,9 @@ class TraceExporter {
     return enabled_.load(std::memory_order_acquire);
   }
 
-  /// Microseconds since the session epoch (monotonic).
-  std::int64_t now_us() const;
+  /// Microseconds on monotonic_s()'s process epoch: one clock for every
+  /// span and flight event, whether or not a session is enabled.
+  static std::int64_t now_us();
 
   /// Record one complete span. No-op while disabled. Spills a batch to
   /// the file once enough events accumulate.
@@ -68,8 +68,6 @@ class TraceExporter {
                        std::int64_t ts_us, std::int64_t dur_us);
 
   std::size_t event_count() const;
-  /// Serialize the current buffer as Chrome trace JSON.
-  std::string to_json() const;
   /// Append pending events to the enabled path (the file stays valid
   /// JSON). Returns false when disabled, pathless, or the file cannot
   /// be written.
@@ -91,7 +89,6 @@ class TraceExporter {
   std::atomic<bool> enabled_{false};
   std::string path_;
   std::vector<TraceEvent> events_;
-  std::chrono::steady_clock::time_point epoch_;
   mutable std::FILE* file_ = nullptr;
   mutable std::size_t file_flushed_ = 0;  ///< events already on disk
   mutable bool file_has_events_ = false;

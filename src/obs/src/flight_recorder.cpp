@@ -39,7 +39,6 @@ bool write_all(int fd, const char* data, std::size_t n) noexcept {
 const char* to_string(FlightKind kind) {
   switch (kind) {
     case FlightKind::mark: return "mark";
-    case FlightKind::span: return "span";
     case FlightKind::frame_begin: return "frame_begin";
     case FlightKind::frame_end: return "frame_end";
     case FlightKind::rng_seed: return "rng_seed";
@@ -113,26 +112,11 @@ void FlightRecorder::record(FlightKind kind, std::uint32_t name_id,
   Ring& ring = thread_ring();
   const std::uint64_t idx = ring.head.load(std::memory_order_relaxed);
   FlightEvent& slot = ring.buf[idx % ring.buf.size()];
-  slot.t_us = TraceExporter::global().now_us();
+  slot.t_us = TraceExporter::now_us();
   slot.value = value;
   slot.name_id = name_id;
   slot.tid = ring.tid;
   slot.kind = kind;
-  ring.head.store(idx + 1, std::memory_order_release);
-}
-
-void FlightRecorder::record_span(std::string_view name,
-                                 std::int64_t start_us,
-                                 std::int64_t dur_us) {
-  if (!enabled() || !should_sample()) return;
-  Ring& ring = thread_ring();
-  const std::uint64_t idx = ring.head.load(std::memory_order_relaxed);
-  FlightEvent& slot = ring.buf[idx % ring.buf.size()];
-  slot.t_us = start_us;
-  slot.value = static_cast<std::uint64_t>(std::max<std::int64_t>(dur_us, 0));
-  slot.name_id = intern(name);
-  slot.tid = ring.tid;
-  slot.kind = FlightKind::span;
   ring.head.store(idx + 1, std::memory_order_release);
 }
 

@@ -4,6 +4,7 @@
 
 #include "ros/obs/json.hpp"
 #include "ros/obs/log.hpp"
+#include "ros/obs/timer.hpp"
 
 namespace ros::obs {
 
@@ -32,8 +33,7 @@ void write_event_json(JsonWriter& w, const TraceEvent& ev) {
 
 }  // namespace
 
-TraceExporter::TraceExporter()
-    : epoch_(std::chrono::steady_clock::now()) {}
+TraceExporter::TraceExporter() = default;
 
 TraceExporter::~TraceExporter() {
   const std::scoped_lock lock(mu_);
@@ -110,7 +110,6 @@ bool TraceExporter::flush_pending_locked() const {
 void TraceExporter::enable(std::string path) {
   const std::scoped_lock lock(mu_);
   path_ = std::move(path);
-  epoch_ = std::chrono::steady_clock::now();
   events_.clear();
   open_file_locked();
   enabled_.store(true, std::memory_order_release);
@@ -125,10 +124,8 @@ void TraceExporter::disable() {
   events_.clear();
 }
 
-std::int64_t TraceExporter::now_us() const {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now() - epoch_)
-      .count();
+std::int64_t TraceExporter::now_us() {
+  return static_cast<std::int64_t>(monotonic_s() * 1e6);
 }
 
 void TraceExporter::record_complete(std::string_view name,
@@ -148,28 +145,6 @@ void TraceExporter::record_complete(std::string_view name,
 std::size_t TraceExporter::event_count() const {
   const std::scoped_lock lock(mu_);
   return events_.size();
-}
-
-std::string TraceExporter::to_json() const {
-  const std::scoped_lock lock(mu_);
-  JsonWriter w;
-  w.begin_object();
-  w.key("displayTimeUnit").value("ms");
-  w.key("traceEvents").begin_array();
-  for (const TraceEvent& ev : events_) {
-    w.begin_object();
-    w.key("name").value(ev.name);
-    w.key("cat").value(ev.category);
-    w.key("ph").value("X");
-    w.key("ts").value(static_cast<std::int64_t>(ev.ts_us));
-    w.key("dur").value(static_cast<std::int64_t>(ev.dur_us));
-    w.key("pid").value(1);
-    w.key("tid").value(static_cast<std::int64_t>(ev.tid));
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.take();
 }
 
 bool TraceExporter::flush() const {

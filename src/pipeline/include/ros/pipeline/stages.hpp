@@ -1,10 +1,10 @@
 // Shared interrogation pipeline stages (ros::pipeline).
 //
 // The building blocks of the interrogation engine
-// (`StreamingInterrogator`, ros/pipeline/streaming.hpp): the per-frame
-// heavy stage (synthesize -> range FFT -> detect), the per-cluster
-// classify/decode stage, and the observability helpers every read
-// shares.
+// (`StreamingInterrogator`, ros/pipeline/streaming.hpp): the layers of
+// a read and their names, the per-frame heavy stage (scene returns ->
+// synthesize -> range FFT -> detect), the per-cluster sample/classify/
+// decode stage, and the observability helpers every read shares.
 //
 // Everything here is deterministic per (config, scene, pose, frame
 // index): the per-frame stage derives its RNG stream from
@@ -14,16 +14,17 @@
 // frames across the pool, and both get the same bits.
 #pragma once
 
-#include <atomic>
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
+#include <numeric>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "ros/obs/alloc.hpp"
+#include "ros/obs/metrics.hpp"
+#include "ros/obs/timer.hpp"
 #include "ros/pipeline/interrogator.hpp"
 #include "ros/radar/processing.hpp"
 #include "ros/radar/waveform.hpp"
@@ -31,22 +32,59 @@
 
 namespace ros::pipeline {
 
-/// Relaxed add-only accumulator for per-stage time measured on several
-/// threads at once.
-class AtomicMs {
- public:
-  void add(double delta) {
-    double cur = v_.load(std::memory_order_relaxed);
-    while (!v_.compare_exchange_weak(cur, cur + delta,
-                                     std::memory_order_relaxed)) {
-    }
-  }
-  double value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> v_{0.0};
+/// The layers of a read (paper Sec. 6), in pipeline order. A layer's
+/// span, its PipelineTelemetry stage and its histogram `<name>.ms` share
+/// one name (kLayerNames): the one bench/e2e reports the layer under.
+/// The frame stage runs returns .. detect; detect, merge, cluster and
+/// classify run in full mode only.
+enum class Layer : std::uint8_t {
+  track, returns, synthesize, range_fft, detect,
+  merge, cluster, sample, classify, decode
 };
+inline constexpr std::size_t kLayers = 10;
+
+inline constexpr std::array<const char*, kLayers> kLayerNames = {
+    "scene.track",      "scene.returns",    "radar.synthesize",
+    "radar.range_fft",  "radar.detect",     "pipeline.merge",
+    "pipeline.cluster", "pipeline.sample",  "pipeline.classify",
+    "tag.decode"};
+
+constexpr const char* layer_name(Layer layer) {
+  return kLayerNames[static_cast<std::size_t>(layer)];
+}
+
+/// Measured milliseconds per layer: one frame's (carried in its
+/// FramePacket) or one read's sums.
+struct LayerMs {
+  std::array<double, kLayers> values{};
+
+  double& operator[](Layer layer) {
+    return values[static_cast<std::size_t>(layer)];
+  }
+  double operator[](Layer layer) const {
+    return values[static_cast<std::size_t>(layer)];
+  }
+  LayerMs& operator+=(const LayerMs& other) {
+    for (std::size_t k = 0; k < kLayers; ++k) values[k] += other.values[k];
+    return *this;
+  }
+  double sum() const {
+    return std::accumulate(values.begin(), values.end(), 0.0);
+  }
+};
+
+/// Each layer's `<name>.ms` histogram in the global registry, indexed
+/// by Layer; looked up once per read so a span never searches the
+/// registry.
+using LayerHistograms = std::array<ros::obs::Histogram*, kLayers>;
+LayerHistograms layer_histograms();
+
+/// A span named after `layer` that observes its histogram.
+inline ros::obs::ScopedTimer layer_span(Layer layer,
+                                        const LayerHistograms& hist) {
+  return ros::obs::ScopedTimer(layer_name(layer), "pipeline",
+                               hist[static_cast<std::size_t>(layer)]);
+}
 
 /// Per-thread reusable frame-loop storage. Every container is cleared
 /// (never shrunk) between frames, so after the first frame on each
@@ -83,8 +121,9 @@ double decode_max_abs_u(const InterrogatorConfig& config);
 /// The heavy, embarrassingly parallel per-frame stage. One instance per
 /// run; `run_full` / `run_decode` are const and callable concurrently
 /// from any thread — output depends only on (config, scene, pose, i).
-/// Spans are named after the read mode: `interrogate.*` for run_full,
-/// `decode_drive.*` for run_decode.
+/// Each layer runs in its own span, whose stop() lands in the frame's
+/// `ms` so the consumer can sum and observe it; the stage itself keeps
+/// no per-read state.
 class FrameStage {
  public:
   FrameStage(const InterrogatorConfig& config,
@@ -98,27 +137,22 @@ class FrameStage {
               const ros::scene::Scene& scene);
 
   double fc() const { return fc_; }
-  double noise_w() const { return noise_w_; }
 
   /// Frame i's counter-derived RNG stream seed: the same value the
   /// stage uses internally, exposed for flight-recorder provenance.
   std::uint64_t stream_seed(std::size_t i) const;
 
-  /// Full mode: synthesize both Tx passes, range-FFT both, detect in
-  /// both. RNG draw order (returns normal, returns switched, noise key
-  /// normal, noise key switched) is part of the bit-identity contract.
+  /// Full mode: scene returns, synthesis, range FFT and detection, each
+  /// for both Tx passes. RNG draw order (returns normal, returns
+  /// switched, noise key normal, noise key switched) is part of the
+  /// bit-identity contract. Writes the four layers' times into `ms`.
   void run_full(const ros::scene::RadarPose& pose, std::size_t i,
-                FrameArtifacts& out) const;
+                FrameArtifacts& out, LayerMs& ms) const;
 
-  /// Decode mode: switched pass only, synthesize + range-FFT.
+  /// Decode mode: switched pass only; scene returns, synthesis and range
+  /// FFT, with their times written into `ms`.
   void run_decode(const ros::scene::RadarPose& pose, std::size_t i,
-                  ros::radar::RangeProfile& out) const;
-
-  /// Book the accumulated per-thread stage times into `tel`, scaled to
-  /// the frame loop's wall time (`include_detect` = full mode). A
-  /// `wall_ms` <= 0 (no measured loop) books the per-thread sums as is.
-  void book_frames(PipelineTelemetry& tel, double wall_ms,
-                   bool include_detect) const;
+                  ros::radar::RangeProfile& out, LayerMs& ms) const;
 
  private:
   const InterrogatorConfig* config_;
@@ -126,16 +160,14 @@ class FrameStage {
   ros::radar::WaveformSynthesizer synth_;
   double fc_;
   double noise_w_;
-  mutable AtomicMs synth_ms_;
-  mutable AtomicMs fft_ms_;
-  mutable AtomicMs detect_ms_;
 };
 
 /// Classify every dense cluster in `report.clusters` (spotlight both Tx
 /// passes, RSS-loss feature) and decode the tag candidates, appending
-/// to report.candidates / report.tags / report.telemetry — the full-mode
-/// finalizer's back half. `profiles_*` and `estimated` must be
-/// frame-aligned. Emits per-tag probe taps when a capture is active.
+/// to report.candidates / report.tags / report.telemetry.tags — the
+/// full-mode finalizer's back half. `profiles_*` and `estimated` must be
+/// frame-aligned. Adds the sample, classify and decode spans' times to
+/// `read_ms`. Emits per-tag probe taps when a capture is active.
 /// Returns true when at least one candidate series reached the coding
 /// band (the funnel's "aperture" verdict).
 bool classify_and_decode_clusters(
@@ -144,7 +176,8 @@ bool classify_and_decode_clusters(
     std::span<const ros::radar::RangeProfile> profiles_switched,
     std::span<const ros::scene::RadarPose> estimated,
     const ros::scene::Vec2& road, double max_abs_u,
-    InterrogationReport& report);
+    const LayerHistograms& hist, InterrogationReport& report,
+    LayerMs& read_ms);
 
 /// Single-read OOK quality estimate: pool slot amplitudes by decoded
 /// bit and apply the paper's SNR/BER mapping. NaN SNR (and 0.5 BER)
@@ -154,15 +187,6 @@ TagDecodeTelemetry decode_telemetry(const ros::tag::DecodeResult& decode,
 
 /// Mean spotlighted RSS in dBm (power-domain mean over the samples).
 double mean_rss_dbm(std::span<const RssSample> samples);
-
-/// Frame stages run concurrently, so the summed per-thread stage times
-/// can exceed the wall time of the frame loop. Telemetry keeps the
-/// wall-clock convention (stages fit inside total_ms): book the loop's
-/// wall time split across the stages in proportion to their thread-time
-/// shares.
-void book_frame_stages(PipelineTelemetry& tel, double wall_ms,
-                       std::initializer_list<std::pair<const char*, double>>
-                           stages);
 
 /// Publish the mean heap allocations per frame observed across a frame
 /// loop (process-wide counter delta; nothing else runs during the

@@ -3,17 +3,23 @@
 // it (construct, push_all(), finalize); the corridor runtime drives it
 // frame by frame. The pipeline is a per-frame state machine:
 //
-//   synthesize(i)  — the heavy stateless stage (waveform synthesis,
-//                    range FFT, detection), callable from ANY thread in
-//                    any order; frame i's output depends only on
-//                    (config, scene, pose_i, i) via its counter-derived
-//                    RNG stream.
+//   synthesize(i)  — the heavy stateless stage (scene returns, waveform
+//                    synthesis, range FFT, detection), callable from ANY
+//                    thread in any order; frame i's output depends only
+//                    on (config, scene, pose_i, i) via its
+//                    counter-derived RNG stream.
 //   consume(pkt)   — the sequential state machine: in-order multi-frame
 //                    merge, incremental tracking estimate, incremental
 //                    grid-DBSCAN insertion (+ sliding-window eviction),
 //                    per-frame spotlight RSS sampling, and the
 //                    early-emit decode gate.
 //   finalize_*()   — the terminal stage producing the read's result.
+//
+// Timing: every layer (ros/pipeline/stages.hpp `Layer`) runs in one
+// ScopedTimer span named after it. A frame's packet carries the times
+// its worker measured; consume() adds them and its own to the read's
+// per-layer sums, in frame order, so a read's PipelineTelemetry stages
+// are measured thread time with no atomics and no apportioning.
 //
 // push_all() is the parallel driver: it synthesizes the remaining
 // frames in fixed blocks of kBlockFrames over exec::parallel_for and
@@ -87,11 +93,13 @@ struct StreamingOptions {
 };
 
 /// One frame's artifacts in flight between the synthesis stage and the
-/// consumer. Decode mode fills `profile`; full mode fills `full`.
+/// consumer. Decode mode fills `profile`; full mode fills `full`. `ms`
+/// holds the frame's measured layer times.
 struct FramePacket {
   std::size_t index = 0;
   FrameArtifacts full;
   ros::radar::RangeProfile profile;
+  LayerMs ms;
 };
 
 class StreamingInterrogator {
@@ -186,6 +194,8 @@ class StreamingInterrogator {
 
  private:
   void begin_read();
+  /// The read's layer sums as PipelineTelemetry stages, in layer order.
+  void book_stages(PipelineTelemetry& tel) const;
   void evict_before(std::size_t min_live_frame);
   void maybe_early_emit(std::size_t frame_index);
 
@@ -235,11 +245,11 @@ class StreamingInterrogator {
   IncrementalDbscan dbscan_;
   PointCloud scratch_cloud_;          ///< per-frame accumulate target
 
-  // --- telemetry (wall time on the consuming thread) ------------------
+  // --- telemetry -------------------------------------------------------
   std::optional<ros::obs::ScopedTimer> run_timer_;  ///< whole-read span
-  double frames_wall_ms_ = 0.0;  ///< push_all's parallel synthesis blocks
-  double track_ms_ = 0.0;        ///< tracking estimate, per frame
-  double frame_state_ms_ = 0.0;  ///< spotlight sampling / cloud merge
+  LayerHistograms layer_hist_{};  ///< `<layer>.ms`, looked up per read
+  ros::obs::Histogram* frame_hist_ = nullptr;  ///< `*.frame.ms`
+  LayerMs layer_ms_;  ///< the read's per-layer sums
 };
 
 }  // namespace ros::pipeline

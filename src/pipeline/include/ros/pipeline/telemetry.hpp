@@ -12,8 +12,8 @@
 namespace ros::pipeline {
 
 struct StageTiming {
-  std::string stage;  ///< e.g. "synthesize", "range_fft", "decode"
-  double ms = 0.0;    ///< wall time summed over the run
+  std::string stage;  ///< a layer name: "scene.returns", "tag.decode", ...
+  double ms = 0.0;    ///< the layer's measured thread time over the read
 };
 
 /// Decode-quality numbers for one read tag. SNR/BER are the paper's OOK
@@ -36,8 +36,11 @@ struct PipelineTelemetry {
   std::size_t n_candidates = 0;
   std::size_t n_tags = 0;
 
+  /// One entry per layer the read mode runs, in layer order
+  /// (ros::pipeline::Layer). At one thread they fit inside total_ms; at
+  /// N threads the frame layers may add up to more.
   std::vector<StageTiming> stages;
-  double total_ms = 0.0;
+  double total_ms = 0.0;  ///< the read's wall time
   std::vector<TagDecodeTelemetry> tags;
 
   /// Total ms booked against `stage`; 0 when the stage never ran.

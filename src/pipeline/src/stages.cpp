@@ -24,8 +24,25 @@ namespace ros::pipeline {
 using namespace ros::common;
 
 namespace {
+
 constexpr const char* kLog = "pipeline";
+
+constexpr std::array<const char*, kLayers> kLayerHistogramNames = {
+    "scene.track.ms",      "scene.returns.ms",   "radar.synthesize.ms",
+    "radar.range_fft.ms",  "radar.detect.ms",    "pipeline.merge.ms",
+    "pipeline.cluster.ms", "pipeline.sample.ms", "pipeline.classify.ms",
+    "tag.decode.ms"};
+
 }  // namespace
+
+LayerHistograms layer_histograms() {
+  auto& reg = ros::obs::MetricsRegistry::global();
+  LayerHistograms out{};
+  for (std::size_t k = 0; k < kLayers; ++k) {
+    out[k] = &reg.histogram(kLayerHistogramNames[k]);
+  }
+  return out;
+}
 
 FrameWorkspace& FrameWorkspace::thread_local_workspace() {
   static thread_local FrameWorkspace ws;
@@ -64,9 +81,6 @@ void FrameStage::rebind(const InterrogatorConfig& config,
   synth_ = ros::radar::WaveformSynthesizer(config.chirp, config.array);
   fc_ = config.chirp.center_hz();
   noise_w_ = combined_noise_w(config);
-  synth_ms_.reset();
-  fft_ms_.reset();
-  detect_ms_.reset();
 }
 
 std::uint64_t FrameStage::stream_seed(std::size_t i) const {
@@ -74,74 +88,64 @@ std::uint64_t FrameStage::stream_seed(std::size_t i) const {
 }
 
 void FrameStage::run_full(const ros::scene::RadarPose& pose,
-                          std::size_t i, FrameArtifacts& out) const {
+                          std::size_t i, FrameArtifacts& out,
+                          LayerMs& ms) const {
+  using ros::obs::ScopedTimer;
   Rng rng(stream_seed(i));
   FrameWorkspace& ws = FrameWorkspace::thread_local_workspace();
 
   // RNG draw order (returns normal, returns switched, noise key normal,
   // noise key switched) is part of the bit-identity contract with the
   // serial reference (tests/support/pipeline_oracle.hpp).
-  ros::obs::ScopedTimer t_synth("interrogate.synthesize", "pipeline");
+  ScopedTimer t_returns(layer_name(Layer::returns));
   scene_->frame_returns_into(pose, ros::radar::TxMode::normal,
                              config_->array, config_->budget, fc_, rng,
                              ws.points, ws.ret_normal);
   scene_->frame_returns_into(pose, ros::radar::TxMode::switched,
                              config_->array, config_->budget, fc_, rng,
                              ws.points, ws.ret_switched);
+  ms[Layer::returns] = t_returns.stop();
+
+  ScopedTimer t_synth(layer_name(Layer::synthesize));
   synth_.synthesize_into(ws.ret_normal, noise_w_, rng, ws.cube_normal);
   synth_.synthesize_into(ws.ret_switched, noise_w_, rng,
                          ws.cube_switched);
-  synth_ms_.add(t_synth.stop());
+  ms[Layer::synthesize] = t_synth.stop();
 
-  ros::obs::ScopedTimer t_fft("interrogate.range_fft", "pipeline");
+  ScopedTimer t_fft(layer_name(Layer::range_fft));
   ros::radar::range_fft_into(ws.cube_normal, config_->chirp,
                              ros::dsp::Window::hann, out.normal);
   ros::radar::range_fft_into(ws.cube_switched, config_->chirp,
                              ros::dsp::Window::hann, out.switched);
-  fft_ms_.add(t_fft.stop());
+  ms[Layer::range_fft] = t_fft.stop();
 
-  ros::obs::ScopedTimer t_detect("interrogate.detect_points", "pipeline");
+  ScopedTimer t_detect(layer_name(Layer::detect));
   out.det_normal = ros::radar::detect_points(out.normal, config_->array,
                                              fc_, config_->detector);
   out.det_switched = ros::radar::detect_points(
       out.switched, config_->array, fc_, config_->detector);
-  detect_ms_.add(t_detect.stop());
+  ms[Layer::detect] = t_detect.stop();
 }
 
 void FrameStage::run_decode(const ros::scene::RadarPose& pose,
-                            std::size_t i,
-                            ros::radar::RangeProfile& out) const {
+                            std::size_t i, ros::radar::RangeProfile& out,
+                            LayerMs& ms) const {
+  using ros::obs::ScopedTimer;
   Rng rng(stream_seed(i));
   FrameWorkspace& ws = FrameWorkspace::thread_local_workspace();
-  ros::obs::ScopedTimer t_synth("decode_drive.synthesize", "pipeline");
+  ScopedTimer t_returns(layer_name(Layer::returns));
   scene_->frame_returns_into(pose, ros::radar::TxMode::switched,
                              config_->array, config_->budget, fc_, rng,
                              ws.points, ws.ret_switched);
+  ms[Layer::returns] = t_returns.stop();
+  ScopedTimer t_synth(layer_name(Layer::synthesize));
   synth_.synthesize_into(ws.ret_switched, noise_w_, rng,
                          ws.cube_switched);
-  synth_ms_.add(t_synth.stop());
-  ros::obs::ScopedTimer t_fft("decode_drive.range_fft", "pipeline");
+  ms[Layer::synthesize] = t_synth.stop();
+  ScopedTimer t_fft(layer_name(Layer::range_fft));
   ros::radar::range_fft_into(ws.cube_switched, config_->chirp,
                              ros::dsp::Window::hann, out);
-  fft_ms_.add(t_fft.stop());
-}
-
-void FrameStage::book_frames(PipelineTelemetry& tel, double wall_ms,
-                             bool include_detect) const {
-  if (wall_ms <= 0.0) {
-    wall_ms = synth_ms_.value() + fft_ms_.value() +
-              (include_detect ? detect_ms_.value() : 0.0);
-  }
-  if (include_detect) {
-    book_frame_stages(tel, wall_ms,
-                      {{"synthesize", synth_ms_.value()},
-                       {"range_fft", fft_ms_.value()},
-                       {"detect_points", detect_ms_.value()}});
-  } else {
-    book_frame_stages(tel, wall_ms,
-                      {{"synthesize", synth_ms_.value()},
-                       {"range_fft", fft_ms_.value()}});
-  }
+  ms[Layer::range_fft] = t_fft.stop();
 }
 
 bool classify_and_decode_clusters(
@@ -150,7 +154,8 @@ bool classify_and_decode_clusters(
     std::span<const ros::radar::RangeProfile> profiles_switched,
     std::span<const ros::scene::RadarPose> estimated,
     const ros::scene::Vec2& road, double max_abs_u,
-    InterrogationReport& report) {
+    const LayerHistograms& hist, InterrogationReport& report,
+    LayerMs& read_ms) {
   namespace probe = ros::obs::probe;
   auto& reg = ros::obs::MetricsRegistry::global();
   PipelineTelemetry& tel = report.telemetry;
@@ -159,20 +164,20 @@ bool classify_and_decode_clusters(
   bool aperture_any = false;
   for (const Cluster& cluster : report.clusters) {
     // Spotlight the cluster in both passes to get the RSS-loss feature.
-    ros::obs::ScopedTimer t_disc(
-        "interrogate.discriminate", "pipeline",
-        &reg.histogram("interrogate.discriminate.ms"));
+    auto t_sample = layer_span(Layer::sample, hist);
     const auto samples_n =
         sample_rss(profiles_normal, estimated, cluster.centroid, road,
                    config.array, fc);
     const auto samples_s =
         sample_rss(profiles_switched, estimated, cluster.centroid, road,
                    config.array, fc);
+    read_ms[Layer::sample] += t_sample.stop();
 
+    auto t_classify = layer_span(Layer::classify, hist);
     TagCandidate cand = classify_cluster(cluster, mean_rss_dbm(samples_n),
                                          mean_rss_dbm(samples_s),
                                          config.tag_detector);
-    tel.add_stage("discriminate", t_disc.stop());
+    read_ms[Layer::classify] += t_classify.stop();
     report.candidates.push_back(cand);
     ROS_LOG_DEBUG(kLog, "cluster classified",
                   ros::obs::kv("centroid_x", cand.cluster.centroid.x),
@@ -182,9 +187,7 @@ bool classify_and_decode_clusters(
     if (!cand.is_tag) continue;
 
     // Decode from the switched-pass samples.
-    ros::obs::ScopedTimer t_decode(
-        "interrogate.decode", "pipeline",
-        &reg.histogram("interrogate.decode.ms"));
+    auto t_decode = layer_span(Layer::decode, hist);
     const auto series = to_decoder_series(samples_s, max_abs_u);
     // Forensic spectrum tap for the first few decoded tags (pure
     // observation; bounded so a many-tag scene cannot balloon the
@@ -195,7 +198,7 @@ bool classify_and_decode_clusters(
     if (tap_this) decoder_config.spectrum.tap = &spectrum_tap;
     const ros::tag::SpatialDecoder decoder(decoder_config);
     if (series.u.size() < 16 || !decoder.can_decode(series.u)) {
-      tel.add_stage("decode", t_decode.stop());
+      read_ms[Layer::decode] += t_decode.stop();
       ROS_LOG_WARN(kLog,
                    "tag candidate dropped: series too short or narrow "
                    "for the coding band",
@@ -209,7 +212,7 @@ bool classify_and_decode_clusters(
     readout.candidate = cand;
     readout.samples = samples_s;
     readout.decode = decoder.decode(series.u, series.rss_linear);
-    tel.add_stage("decode", t_decode.stop());
+    read_ms[Layer::decode] += t_decode.stop();
     tel.tags.push_back(decode_telemetry(readout.decode, readout.samples));
     if (tap_this) {
       const std::string tag = "tag" + std::to_string(report.tags.size());
@@ -255,16 +258,6 @@ double mean_rss_dbm(std::span<const RssSample> samples) {
   double sum_w = 0.0;
   for (const auto& s : samples) sum_w += s.rss_w;
   return watt_to_dbm(sum_w / std::max<std::size_t>(1, samples.size()));
-}
-
-void book_frame_stages(PipelineTelemetry& tel, double wall_ms,
-                       std::initializer_list<
-                           std::pair<const char*, double>> stages) {
-  double sum = 0.0;
-  for (const auto& [name, ms] : stages) sum += ms;
-  for (const auto& [name, ms] : stages) {
-    tel.add_stage(name, sum > 0.0 ? wall_ms * (ms / sum) : 0.0);
-  }
 }
 
 void record_frame_loop_allocs(const char* gauge,

@@ -33,17 +33,9 @@ Vec2 road_of(const ros::scene::StraightDrive& drive) {
   return drive.velocity() * (1.0 / std::max(drive.velocity().norm(), 1e-9));
 }
 
-std::size_t frames_in(const ros::scene::StraightDrive& drive,
-                      double rate_hz) {
-  // Mirrors StraightDrive::frames(): n = floor(T * rate) + 1.
-  return static_cast<std::size_t>(
-             std::floor(drive.duration_s() * rate_hz)) +
-         1;
-}
-
-/// Names of one read mode — the probe kind and every span, histogram,
-/// and gauge the read records — spelled out so recording them never
-/// builds a string.
+/// Names of one read mode — the probe kind and every mode-level span,
+/// histogram, and gauge the read records — spelled out so recording them
+/// never builds a string; plus the layers the mode runs, in layer order.
 struct ModeNames {
   const char* kind;
   const char* run;
@@ -53,18 +45,29 @@ struct ModeNames {
   const char* frame_ms;
   const char* rng_stream;
   const char* allocs_per_frame;
+  std::span<const Layer> layers;
 };
+
+constexpr Layer kDecodeLayers[] = {Layer::track,      Layer::returns,
+                                   Layer::synthesize, Layer::range_fft,
+                                   Layer::sample,     Layer::decode};
+constexpr Layer kFullLayers[] = {
+    Layer::track,   Layer::returns, Layer::synthesize, Layer::range_fft,
+    Layer::detect,  Layer::merge,   Layer::cluster,    Layer::sample,
+    Layer::classify, Layer::decode};
 
 constexpr ModeNames kDecodeNames{
     "decode_drive",            "decode_drive.run",
     "decode_drive.run.ms",     "decode_drive.frames",
     "decode_drive.frame",      "decode_drive.frame.ms",
-    "decode_drive.rng_stream", "decode_drive.frame_loop.allocs_per_frame"};
+    "decode_drive.rng_stream", "decode_drive.frame_loop.allocs_per_frame",
+    kDecodeLayers};
 constexpr ModeNames kFullNames{
     "interrogate",             "interrogate.run",
     "interrogate.run.ms",      "interrogate.frames",
     "interrogate.frame",       "interrogate.frame.ms",
-    "interrogate.rng_stream",  "interrogate.frame_loop.allocs_per_frame"};
+    "interrogate.rng_stream",  "interrogate.frame_loop.allocs_per_frame",
+    kFullLayers};
 
 }  // namespace
 
@@ -85,7 +88,7 @@ StreamingInterrogator::StreamingInterrogator(
       dbscan_(config_.dbscan) {
   validate(config_);
   obs_session_begin();
-  n_frames_ = frames_in(drive, rate_hz_);
+  n_frames_ = drive.frame_count(rate_hz_);
   road_ = road_of(drive);
   max_abs_u_ = decode_max_abs_u(config_);
   // Early emit is gated on provability: with FoV truncation active and
@@ -115,7 +118,7 @@ StreamingInterrogator::StreamingInterrogator(
       dbscan_(config_.dbscan) {
   validate(config_);
   obs_session_begin();
-  n_frames_ = frames_in(drive, rate_hz_);
+  n_frames_ = drive.frame_count(rate_hz_);
   road_ = road_of(drive);
   max_abs_u_ = decode_max_abs_u(config_);
   begin_read();
@@ -127,9 +130,11 @@ StreamingInterrogator::StreamingInterrogator(
 
 void StreamingInterrogator::begin_read() {
   const ModeNames& names = decode_mode_ ? kDecodeNames : kFullNames;
-  run_timer_.emplace(
-      names.run, "pipeline",
-      &ros::obs::MetricsRegistry::global().histogram(names.run_ms));
+  auto& reg = ros::obs::MetricsRegistry::global();
+  layer_hist_ = layer_histograms();
+  frame_hist_ = &reg.histogram(names.frame_ms);
+  layer_ms_ = {};
+  run_timer_.emplace(names.run, "pipeline", &reg.histogram(names.run_ms));
   namespace probe = ros::obs::probe;
   probing_ = probe::armed() &&
              probe::begin_read(names.kind, config_.noise_seed,
@@ -170,7 +175,7 @@ void StreamingInterrogator::rebind(const InterrogatorConfig& config,
   stage_.rebind(config_, scene);
   rate_hz_ = config_.chirp.frame_rate_hz /
              static_cast<double>(config_.frame_stride);
-  n_frames_ = frames_in(drive, rate_hz_);
+  n_frames_ = drive.frame_count(rate_hz_);
   road_ = road_of(drive);
   max_abs_u_ = decode_max_abs_u(config_);
   emit_eligible_ = opts_.early_emit && max_abs_u_ < 1.0 &&
@@ -192,9 +197,6 @@ void StreamingInterrogator::rebind(const InterrogatorConfig& config,
   have_prev_u_ = false;
   emitted_ = false;
   emit_frame_ = 0;
-  frames_wall_ms_ = 0.0;
-  track_ms_ = 0.0;
-  frame_state_ms_ = 0.0;
   begin_read();
 }
 
@@ -217,10 +219,11 @@ void StreamingInterrogator::synthesize_into(std::size_t i,
   // The same ground-truth pose expression as StraightDrive::frames().
   const RadarPose pose =
       drive_->pose_at(static_cast<double>(i) / rate_hz_);
+  out.ms = {};
   if (decode_mode_) {
-    stage_.run_decode(pose, i, out.profile);
+    stage_.run_decode(pose, i, out.profile, out.ms);
   } else {
-    stage_.run_full(pose, i, out.full);
+    stage_.run_full(pose, i, out.full, out.ms);
   }
 }
 
@@ -228,18 +231,22 @@ void StreamingInterrogator::consume(FramePacket&& packet) {
   ROS_EXPECT(!finalized_, "stream already finalized");
   ROS_EXPECT(packet.index == consumed_,
              "frames must be consumed in order");
-  const double t0 = ros::obs::monotonic_s();
   const std::size_t i = packet.index;
+  LayerMs& ms = packet.ms;
+  auto t_track = layer_span(Layer::track, layer_hist_);
   const RadarPose truth =
       drive_->pose_at(static_cast<double>(i) / rate_hz_);
   const RadarPose est = tracker_.next(truth);
-  const double t1 = ros::obs::monotonic_s();
+  ms[Layer::track] = t_track.stop();
 
   if (decode_mode_) {
+    auto t_sample = layer_span(Layer::sample, layer_hist_);
     if (probing_) range_capture_.add(i, packet.profile);
     RssSample s;
-    if (sample_rss_frame(packet.profile, est, tag_position_, road_,
-                         config_.array, stage_.fc(), i, s)) {
+    const bool sampled = sample_rss_frame(packet.profile, est, tag_position_,
+                                          road_, config_.array, stage_.fc(),
+                                          i, s);
+    if (sampled) {
       if (opts_.retain_samples) samples_.push_back(s);
       sum_rss_w_ += s.rss_w;
       ++n_samples_;
@@ -260,9 +267,11 @@ void StreamingInterrogator::consume(FramePacket&& packet) {
       }
       prev_u_ = s.u;
       have_prev_u_ = true;
-      maybe_early_emit(i);
     }
+    ms[Layer::sample] = t_sample.stop();
+    if (sampled) maybe_early_emit(i);
   } else {
+    auto t_merge = layer_span(Layer::merge, layer_hist_);
     win_estimated_.push_back(est);
     scratch_cloud_.points.clear();
     accumulate(scratch_cloud_, packet.full.det_normal, est, i);
@@ -277,10 +286,26 @@ void StreamingInterrogator::consume(FramePacket&& packet) {
     if (opts_.window_frames > 0 && i + 1 >= opts_.window_frames) {
       evict_before(i + 1 - opts_.window_frames);
     }
+    ms[Layer::merge] = t_merge.stop();
   }
+  // The frame stage's spans (returns .. detect) observe no histogram;
+  // theirs are fed here.
+  const ModeNames& names = decode_mode_ ? kDecodeNames : kFullNames;
+  for (const Layer layer : names.layers) {
+    if (layer >= Layer::returns && layer <= Layer::detect) {
+      layer_hist_[static_cast<std::size_t>(layer)]->observe(ms[layer]);
+    }
+  }
+  frame_hist_->observe(ms.sum());
+  layer_ms_ += ms;
   ++consumed_;
-  track_ms_ += (t1 - t0) * 1000.0;
-  frame_state_ms_ += (ros::obs::monotonic_s() - t1) * 1000.0;
+}
+
+void StreamingInterrogator::book_stages(PipelineTelemetry& tel) const {
+  const ModeNames& names = decode_mode_ ? kDecodeNames : kFullNames;
+  for (const Layer layer : names.layers) {
+    tel.add_stage(layer_name(layer), layer_ms_[layer]);
+  }
 }
 
 void StreamingInterrogator::evict_before(std::size_t min_live_frame) {
@@ -307,24 +332,20 @@ void StreamingInterrogator::push_frame(std::size_t i) {
 void StreamingInterrogator::push_all() {
   const ModeNames& names = decode_mode_ ? kDecodeNames : kFullNames;
   const std::size_t first = consumed_;
-  auto& reg = ros::obs::MetricsRegistry::global();
-  ros::obs::Histogram& frame_hist = reg.histogram(names.frame_ms);
   auto& flight = ros::obs::FlightRecorder::global();
   const std::uint32_t frame_id = flight.intern(names.frame);
   const std::uint32_t rng_id = flight.intern(names.rng_stream);
 
-  // One trace span for the whole frame loop; per-frame cost goes to the
-  // frame histograms (per-frame spans would swamp the trace at 1 kHz).
+  // One mode-level span for the whole frame loop, around the frames'
+  // layer spans.
   ros::obs::ScopedTimer frames_timer(names.frames, "pipeline");
   const auto allocs_before = ros::obs::alloc_counters();
   std::vector<FramePacket> block(
       std::min(kBlockFrames, n_frames_ - first));
   for (std::size_t base = first; base < n_frames_; base += block.size()) {
     const std::size_t count = std::min(block.size(), n_frames_ - base);
-    const double t0 = ros::obs::monotonic_s();
     ros::exec::parallel_for(0, count, [&](std::size_t k) {
       const std::size_t i = base + k;
-      const double frame_t0 = ros::obs::monotonic_s();
       // One sampling decision covers the frame's begin/seed/end records
       // so sampled frames land complete in the flight ring.
       const bool sampled = flight.enabled() && flight.should_sample();
@@ -334,12 +355,10 @@ void StreamingInterrogator::push_all() {
                       stage_.stream_seed(i));
       }
       synthesize_into(i, block[k]);
-      frame_hist.observe((ros::obs::monotonic_s() - frame_t0) * 1000.0);
       if (sampled) {
         flight.record(ros::obs::FlightKind::frame_end, frame_id, i);
       }
     });
-    frames_wall_ms_ += (ros::obs::monotonic_s() - t0) * 1000.0;
     // In-order consume on the calling thread: the state machine's
     // bit-determinism needs frame order, not a particular schedule.
     for (std::size_t k = 0; k < count; ++k) consume(std::move(block[k]));
@@ -362,15 +381,18 @@ void StreamingInterrogator::maybe_early_emit(std::size_t frame_index) {
   if (!past_edge) return;
   // The latest sample left the FoV on a monotone pass: every future
   // sample is filtered out of the series, which is therefore final.
+  auto t_decode = layer_span(Layer::decode, layer_hist_);
   const ros::tag::SpatialDecoder decoder(config_.decoder);
   if (series_.empty() || !decoder.can_decode(series_.u())) {
     // The aperture will never suffice (the series cannot grow again):
     // stop re-checking, but leave emitted_ unset so finalize reports
     // the no-read through the ordinary path.
     emit_eligible_ = false;
+    layer_ms_[Layer::decode] += t_decode.stop();
     return;
   }
   emitted_decode_ = decoder.decode(series_.u(), series_.rss_linear());
+  layer_ms_[Layer::decode] += t_decode.stop();
   emitted_ = true;
   emit_frame_ = frame_index;
   auto& reg = ros::obs::MetricsRegistry::global();
@@ -423,11 +445,6 @@ DecodeDriveResult StreamingInterrogator::finalize_decode() {
   DecodeDriveResult out;
   PipelineTelemetry& tel = out.telemetry;
   tel.n_frames = consumed_;
-  tel.add_stage("track", track_ms_);
-  // Engines fed frame by frame (the corridor) have no block wall time;
-  // their frame stage books the summed per-thread time instead.
-  stage_.book_frames(tel, frames_wall_ms_, /*include_detect=*/false);
-  tel.add_stage("sample_rss", frame_state_ms_);
 
   out.samples = std::move(samples_);
   tel.n_points = n_samples_;
@@ -444,9 +461,7 @@ DecodeDriveResult StreamingInterrogator::finalize_decode() {
   bool aperture_ok = false;
   ros::dsp::SpectrumTap spectrum_tap;
   {
-    ros::obs::ScopedTimer t_decode(
-        "decode_drive.decode", "pipeline",
-        &reg.histogram("decode_drive.decode.ms"));
+    auto t_decode = layer_span(Layer::decode, layer_hist_);
     // When capturing, route the decoder's spectrum computation through
     // a forensic tap (pure observation: the decode itself is
     // bit-identical with or without it).
@@ -475,7 +490,7 @@ DecodeDriveResult StreamingInterrogator::finalize_decode() {
                               std::to_string(series_.size()) +
                               " usable samples)");
     }
-    tel.add_stage("decode", t_decode.stop());
+    layer_ms_[Layer::decode] += t_decode.stop();
   }
 
   // No-retraction law: an early-emitted readout must equal the final
@@ -501,6 +516,7 @@ DecodeDriveResult StreamingInterrogator::finalize_decode() {
   tel.n_clusters = 1;
   tel.n_candidates = 1;
   tel.tags.push_back(decode_telemetry(out.decode, out.samples));
+  book_stages(tel);
   tel.total_ms = run_timer_->stop();
   reg.counter("pipeline.decode_drives").inc();
   const bool no_read = out.decode.bits.empty();
@@ -537,14 +553,10 @@ InterrogationReport StreamingInterrogator::finalize_report() {
   ROS_EXPECT(!finalized_, "stream already finalized");
   finalized_ = true;
   namespace probe = ros::obs::probe;
-  auto& reg = ros::obs::MetricsRegistry::global();
   InterrogationReport report;
   PipelineTelemetry& tel = report.telemetry;
   report.n_frames = consumed_;
   tel.n_frames = consumed_;
-  tel.add_stage("track", track_ms_);
-  stage_.book_frames(tel, frames_wall_ms_, /*include_detect=*/true);
-  tel.add_stage("merge", frame_state_ms_);
 
   // The surviving window, in insertion order: for an unbounded window
   // this is every point the drive produced.
@@ -579,14 +591,12 @@ InterrogationReport StreamingInterrogator::finalize_report() {
   }
 
   {
-    ros::obs::ScopedTimer t_cluster(
-        "interrogate.cluster", "pipeline",
-        &reg.histogram("interrogate.cluster.ms"));
+    auto t_cluster = layer_span(Layer::cluster, layer_hist_);
     report.clusters = filter_dense(
         extract_clusters_labeled(report.cloud, dbscan_.labels()),
         config_.tag_detector.min_density,
         config_.tag_detector.min_points);
-    tel.add_stage("cluster", t_cluster.stop());
+    layer_ms_[Layer::cluster] += t_cluster.stop();
   }
   tel.n_clusters = report.clusters.size();
   ROS_LOG_DEBUG(kLog, "point cloud clustered",
@@ -601,9 +611,10 @@ InterrogationReport StreamingInterrogator::finalize_report() {
 
   const bool aperture_any = classify_and_decode_clusters(
       config_, profiles_normal, profiles_switched, estimated, road_,
-      max_abs_u_, report);
+      max_abs_u_, layer_hist_, report, layer_ms_);
   tel.n_candidates = report.candidates.size();
   tel.n_tags = report.tags.size();
+  book_stages(tel);
   tel.total_ms = run_timer_->stop();
   record_funnel(tel);
   record_read_funnel(!report.cloud.points.empty(),

@@ -2,6 +2,7 @@
 // at 1-6 m lateral distance, 10-30 mph, or a manually moved cart).
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "ros/scene/geometry.hpp"
@@ -15,6 +16,7 @@ namespace ros::scene {
 /// the pass.
 class StraightDrive {
  public:
+  /// Every field must be finite (the constructor throws otherwise).
   struct Params {
     double lane_offset_m = 3.0;   ///< perpendicular tag-to-path distance
     double speed_mps = 2.0;
@@ -35,6 +37,11 @@ class StraightDrive {
 
   /// Vehicle velocity vector [m/s].
   Vec2 velocity() const { return {params_.speed_mps, 0.0}; }
+
+  /// Frames the drive yields at `frame_rate_hz`: floor(T * rate) + 1.
+  /// Throws when the rate is not positive or the count is not finite or
+  /// reaches 2^53 (where size_t conversion would be undefined or inexact).
+  std::size_t frame_count(double frame_rate_hz) const;
 
   /// Ground-truth radar poses at the radar frame rate.
   std::vector<RadarPose> frames(double frame_rate_hz) const;

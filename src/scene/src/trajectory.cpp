@@ -7,6 +7,12 @@
 namespace ros::scene {
 
 StraightDrive::StraightDrive(Params p) : params_(p) {
+  ROS_EXPECT(std::isfinite(p.lane_offset_m) && std::isfinite(p.speed_mps) &&
+                 std::isfinite(p.start_x_m) && std::isfinite(p.end_x_m) &&
+                 std::isfinite(p.radar_height_m) &&
+                 std::isfinite(p.boresight.x) &&
+                 std::isfinite(p.boresight.y),
+             "drive parameters must be finite");
   ROS_EXPECT(p.speed_mps > 0.0, "speed must be positive");
   ROS_EXPECT(p.end_x_m > p.start_x_m, "path must have positive length");
   ROS_EXPECT(p.lane_offset_m > 0.0, "lane offset must be positive");
@@ -30,11 +36,17 @@ RadarPose StraightDrive::pose_at(double t_s) const {
   return pose;
 }
 
-std::vector<RadarPose> StraightDrive::frames(double frame_rate_hz) const {
+std::size_t StraightDrive::frame_count(double frame_rate_hz) const {
   ROS_EXPECT(frame_rate_hz > 0.0, "frame rate must be positive");
+  const double n = std::floor(duration_s() * frame_rate_hz) + 1.0;
+  ROS_EXPECT(std::isfinite(n) && n < 0x1p53,
+             "drive yields too many frames at this rate");
+  return static_cast<std::size_t>(n);
+}
+
+std::vector<RadarPose> StraightDrive::frames(double frame_rate_hz) const {
   std::vector<RadarPose> out;
-  const double T = duration_s();
-  const auto n = static_cast<std::size_t>(std::floor(T * frame_rate_hz)) + 1;
+  const std::size_t n = frame_count(frame_rate_hz);
   out.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     out.push_back(pose_at(static_cast<double>(i) / frame_rate_hz));

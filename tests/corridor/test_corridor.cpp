@@ -16,6 +16,7 @@
 #include "ros/corridor/engine.hpp"
 #include "ros/corridor/world.hpp"
 #include "ros/exec/thread_pool.hpp"
+#include "ros/obs/metrics.hpp"
 
 namespace rc = ros::corridor;
 
@@ -81,6 +82,17 @@ TEST(Corridor, FleetGenerationIsDeterministicAndBounded) {
     EXPECT_GE(a[i].lane_m, spec.traffic.min_lane_m);
     EXPECT_LE(a[i].lane_m, spec.traffic.max_lane_m);
   }
+}
+
+TEST(Corridor, EveryFrameReachesTheFrameHistogram) {
+  // The corridor feeds its sessions frame by frame; each consumed frame
+  // observes its layer sum exactly once, as under decode_drive.
+  ros::obs::Histogram& frame_ms =
+      ros::obs::MetricsRegistry::global().histogram("decode_drive.frame.ms");
+  const std::uint64_t before = frame_ms.count();
+  const rc::CorridorResult result = rc::run_corridor(small_spec());
+  ASSERT_GT(result.stats.frames_processed, 0u);
+  EXPECT_EQ(frame_ms.count() - before, result.stats.frames_processed);
 }
 
 TEST(Corridor, RunCompletesEveryPlannedRead) {

@@ -3,10 +3,14 @@
 // the observability subsystem.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
+#include "ros/exec/thread_pool.hpp"
 #include "ros/obs/metrics.hpp"
 #include "ros/pipeline/interrogator.hpp"
 
@@ -44,9 +48,15 @@ rp::InterrogatorConfig fast_config() {
 }  // namespace
 
 TEST(PipelineTelemetry, FullRunPopulatesFunnelAndStages) {
+  // Stages are measured thread time: at one thread they must fit inside
+  // the read's wall time (at N threads the frame layers may exceed it).
+  const std::size_t saved_threads =
+      ros::exec::ThreadPool::global().threads();
+  ros::exec::ThreadPool::set_global_threads(1);
   const rs::Scene world = tag_world({true, false, true, true});
   const rp::Interrogator inter(fast_config());
   const auto report = inter.run(world, default_drive());
+  ros::exec::ThreadPool::set_global_threads(saved_threads);
   const auto& tel = report.telemetry;
 
   EXPECT_EQ(tel.n_frames, report.n_frames);
@@ -65,9 +75,11 @@ TEST(PipelineTelemetry, FullRunPopulatesFunnelAndStages) {
   // Every pipeline stage booked some time, and stage times fit in the
   // total.
   double stage_sum = 0.0;
-  for (const char* stage : {"track", "synthesize", "range_fft",
-                            "detect_points", "cluster", "discriminate",
-                            "decode"}) {
+  for (const char* stage :
+       {"scene.track", "scene.returns", "radar.synthesize",
+        "radar.range_fft", "radar.detect", "pipeline.merge",
+        "pipeline.cluster", "pipeline.sample", "pipeline.classify",
+        "tag.decode"}) {
     EXPECT_GT(tel.stage_ms(stage), 0.0) << "stage " << stage;
     stage_sum += tel.stage_ms(stage);
   }
@@ -92,7 +104,7 @@ TEST(PipelineTelemetry, JsonSerializesFunnelAndStages) {
   const std::string json = report.telemetry.to_json();
   EXPECT_NE(json.find("\"funnel\""), std::string::npos);
   EXPECT_NE(json.find("\"stages_ms\""), std::string::npos);
-  EXPECT_NE(json.find("\"decode\""), std::string::npos);
+  EXPECT_NE(json.find("\"tag.decode\""), std::string::npos);
   EXPECT_NE(json.find("\"snr_db\""), std::string::npos);
 }
 
@@ -118,12 +130,44 @@ TEST(PipelineTelemetry, DecodeDrivePopulatesTelemetry) {
   EXPECT_EQ(tel.n_tags, 1u);
   EXPECT_TRUE(tel.funnel_consistent());
   for (const char* stage :
-       {"track", "synthesize", "range_fft", "sample_rss", "decode"}) {
+       {"scene.track", "scene.returns", "radar.synthesize",
+        "radar.range_fft", "pipeline.sample", "tag.decode"}) {
     EXPECT_GT(tel.stage_ms(stage), 0.0) << "stage " << stage;
   }
   ASSERT_EQ(tel.tags.size(), 1u);
   EXPECT_EQ(tel.tags.front().n_samples, result.samples.size());
   EXPECT_NEAR(tel.tags.front().mean_rss_dbm, result.mean_rss_dbm, 1e-9);
+}
+
+TEST(PipelineTelemetry, StageNamesAreTheBenchmarkLayerNames) {
+  // An operator's telemetry stages and `<name>.ms` histograms use the
+  // layer names bench/e2e reports.
+  const std::vector<std::string> layers = {
+      "scene.track",      "scene.returns",    "radar.synthesize",
+      "radar.range_fft",  "radar.detect",     "pipeline.merge",
+      "pipeline.cluster", "pipeline.sample",  "pipeline.classify",
+      "tag.decode"};
+  const rs::Scene world = tag_world({true, false, true, true});
+  const auto decoded =
+      rp::decode_drive(world, default_drive(), {0.0, 0.0}, fast_config());
+  const auto report =
+      rp::Interrogator(fast_config()).run(world, default_drive());
+  for (const auto* tel : {&decoded.telemetry, &report.telemetry}) {
+    ASSERT_FALSE(tel->stages.empty());
+    for (const rp::StageTiming& s : tel->stages) {
+      EXPECT_NE(std::find(layers.begin(), layers.end(), s.stage),
+                layers.end())
+          << "stage " << s.stage << " is not a layer name";
+    }
+  }
+  const auto snap = ros::obs::MetricsRegistry::global().snapshot();
+  for (const std::string& layer : layers) {
+    const auto it = std::find_if(
+        snap.histograms.begin(), snap.histograms.end(),
+        [&](const auto& h) { return h.name == layer + ".ms"; });
+    ASSERT_NE(it, snap.histograms.end()) << layer << ".ms missing";
+    EXPECT_GT(it->count, 0u) << layer << ".ms";
+  }
 }
 
 TEST(InterrogatorConfigValidation, RejectsBadValues) {

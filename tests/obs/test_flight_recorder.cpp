@@ -7,6 +7,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -14,6 +15,7 @@
 
 #include "ros/obs/flight_recorder.hpp"
 #include "ros/obs/json_parse.hpp"
+#include "ros/obs/trace.hpp"
 
 namespace ro = ros::obs;
 
@@ -67,14 +69,17 @@ TEST(FlightRecorder, InterningIsStableAndSharedAcrossCalls) {
 
 TEST(FlightRecorder, SamplingRecordsOneInPeriod) {
   auto& fr = ro::FlightRecorder::global();
+  const std::uint32_t id = fr.intern("flighttest.sampled_frame");
   const std::uint32_t old_period = fr.sample_period();
   fr.set_sample_period(4);
   ro::FlightRecorder::reset_thread_sampling();
   const std::uint64_t before = fr.total_recorded();
-  for (int k = 0; k < 8; ++k) {
-    fr.record_span("flighttest.span", 1000 + k, 10);
+  for (std::uint64_t frame = 0; frame < 8; ++frame) {
+    if (fr.should_sample()) {
+      fr.record(ro::FlightKind::frame_begin, id, frame);
+    }
   }
-  // Phase 0: spans 0 and 4 of the 8 are captured.
+  // Phase 0: frames 0 and 4 of the 8 are captured.
   EXPECT_EQ(fr.total_recorded(), before + 2);
   fr.set_sample_period(old_period);
   ro::FlightRecorder::reset_thread_sampling();
@@ -86,9 +91,38 @@ TEST(FlightRecorder, DisabledRecorderDropsEverything) {
   fr.set_enabled(false);
   const std::uint64_t before = fr.total_recorded();
   fr.record(ro::FlightKind::mark, id, 1);
-  fr.record_span("flighttest.disabled", 0, 1);
   EXPECT_EQ(fr.total_recorded(), before);
   fr.set_enabled(true);
+}
+
+TEST(FlightRecorder, EnablingTraceKeepsEventOrder) {
+  // Flight events and trace spans share one process-epoch clock, so a
+  // trace session starting must not move time backwards for the ring.
+  auto& fr = ro::FlightRecorder::global();
+  const std::uint32_t before_id = fr.intern("flighttest.before_enable");
+  const std::uint32_t after_id = fr.intern("flighttest.after_enable");
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  fr.record(ro::FlightKind::mark, before_id, 1);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  auto& exporter = ro::TraceExporter::global();
+  exporter.enable(::testing::TempDir() + "flight_epoch_trace.json");
+  fr.record(ro::FlightKind::mark, after_id, 2);
+  exporter.disable();
+  std::remove((::testing::TempDir() + "flight_epoch_trace.json").c_str());
+
+  const auto events = fr.snapshot();
+  const auto find = [&](std::uint32_t id) {
+    for (std::size_t k = 0; k < events.size(); ++k) {
+      if (events[k].name_id == id) return k;
+    }
+    return events.size();
+  };
+  const std::size_t before_at = find(before_id);
+  const std::size_t after_at = find(after_id);
+  ASSERT_LT(before_at, events.size());
+  ASSERT_LT(after_at, events.size());
+  EXPECT_LT(before_at, after_at);
+  EXPECT_LT(events[before_at].t_us, events[after_at].t_us);
 }
 
 TEST(FlightRecorder, RingWrapCountsDropsNotCrashes) {
@@ -170,7 +204,6 @@ TEST(FlightRecorder, RecordIsAllocationFreeAfterWarmup) {
   const std::uint64_t before = fr.total_recorded();
   for (int k = 0; k < 1000; ++k) {
     fr.record(ro::FlightKind::mark, id, static_cast<std::uint64_t>(k));
-    fr.record_span("flighttest.noalloc", k, 1);
   }
   EXPECT_GE(fr.total_recorded(), before + 1000);
 }

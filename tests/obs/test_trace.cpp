@@ -15,6 +15,7 @@
 #include <variant>
 #include <vector>
 
+#include "ros/obs/alloc.hpp"
 #include "ros/obs/timer.hpp"
 
 namespace obs = ros::obs;
@@ -171,6 +172,19 @@ TEST_F(TraceTest, DisabledExporterRecordsNothing) {
   EXPECT_EQ(exporter.event_count(), before);
 }
 
+TEST_F(TraceTest, DisabledSpanDoesNotAllocate) {
+  if (!obs::alloc_counting_enabled()) {
+    GTEST_SKIP() << "ROS_OBS_COUNT_ALLOCS is off";
+  }
+  auto& exporter = obs::TraceExporter::global();
+  exporter.disable();
+  // Longer than any small-string buffer: a span that copied its name
+  // would allocate here.
+  const auto before = obs::thread_alloc_counters();
+  { obs::ScopedTimer t("pipeline.a_long_span_name", "pipeline"); }
+  EXPECT_EQ(obs::thread_alloc_counters().allocs, before.allocs);
+}
+
 TEST_F(TraceTest, RoundTripPreservesEventsAndNesting) {
   const std::string path = temp_trace_path();
   auto& exporter = obs::TraceExporter::global();
@@ -228,15 +242,17 @@ TEST_F(TraceTest, RoundTripPreservesEventsAndNesting) {
   std::remove(path.c_str());
 }
 
-TEST_F(TraceTest, EnableResetsSessionEpochAndBuffer) {
+TEST_F(TraceTest, EnableResetsBufferButNotClock) {
   auto& exporter = obs::TraceExporter::global();
   exporter.enable(temp_trace_path());
   { obs::ScopedTimer t("first", "test"); }
   EXPECT_EQ(exporter.event_count(), 1u);
 
+  const std::int64_t before_us = obs::TraceExporter::now_us();
   exporter.enable(temp_trace_path());  // retarget = fresh session
   EXPECT_EQ(exporter.event_count(), 0u);
-  EXPECT_GE(exporter.now_us(), 0);
+  // One process-epoch clock: a new session never moves time backwards.
+  EXPECT_GE(obs::TraceExporter::now_us(), before_us);
 }
 
 TEST_F(TraceTest, FlushWithoutSessionFails) {

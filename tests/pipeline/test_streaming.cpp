@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -221,6 +222,17 @@ TEST(Streaming, ConsumeEnforcesFrameOrder) {
   ASSERT_GE(engine.n_frames(), 2u);
   auto pkt = engine.synthesize(1);  // out of order: frame 0 not consumed
   EXPECT_ANY_THROW(engine.consume(std::move(pkt)));
+}
+
+TEST(Streaming, UncountableDriveIsRejectedAtConstruction) {
+  // 1e-300 m/s over 6 m is ~6e300 s: no size_t holds its frame count.
+  const auto world = make_world();
+  const rs::StraightDrive crawl({.speed_mps = 1e-300});
+  EXPECT_THROW(rp::StreamingInterrogator(fast_config(), world, crawl,
+                                         rs::Vec2{0.0, 0.0}),
+               std::invalid_argument);
+  EXPECT_THROW(rp::StreamingInterrogator(fast_config(), world, crawl),
+               std::invalid_argument);
 }
 
 TEST(Streaming, FinalizeWithZeroFramesIsACleanNoRead) {

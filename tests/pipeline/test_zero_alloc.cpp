@@ -122,11 +122,12 @@ TEST(ZeroAlloc, DecodeDriveFrameLoopAllocsAreOutputOnly) {
   const double steady_allocs =
       gauge("decode_drive.frame_loop.allocs_per_frame");
 
-  // The only steady-state allocations are the driver's packet profiles
-  // (one outer vector + one per Rx channel = 5 for the IWR1443, once per
-  // block slot) plus a constant sliver of harness noise. Anything that
-  // scales with samples-per-frame or returns-per-frame would blow well
-  // past this.
+  // Spans copy no names, so the steady-state allocations are push_all's
+  // block of packets (one outer profile vector + one per Rx channel = 5
+  // per slot for the IWR1443, filled once per read) plus a constant
+  // sliver of harness noise: well under one per frame on long drives.
+  // Anything that scales with samples-per-frame or returns-per-frame
+  // would blow well past this.
   EXPECT_LE(steady_allocs, 16.0)
       << "decode_drive allocates per frame beyond its output profile";
   EXPECT_LE(steady_allocs, warm_allocs + 1.0)

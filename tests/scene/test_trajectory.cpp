@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace rs = ros::scene;
 
 TEST(Trajectory, DurationAndPoses) {
@@ -53,4 +56,39 @@ TEST(Trajectory, InvalidParamsThrow) {
                std::invalid_argument);
   rs::StraightDrive ok({});
   EXPECT_THROW(ok.frames(0.0), std::invalid_argument);
+}
+
+TEST(Trajectory, NonFiniteParamsThrow) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(rs::StraightDrive({.end_x_m = inf}), std::invalid_argument);
+  EXPECT_THROW(rs::StraightDrive({.start_x_m = -inf}),
+               std::invalid_argument);
+  EXPECT_THROW(rs::StraightDrive({.radar_height_m = nan}),
+               std::invalid_argument);
+  EXPECT_THROW(rs::StraightDrive({.lane_offset_m = inf}),
+               std::invalid_argument);
+  EXPECT_THROW(rs::StraightDrive({.speed_mps = inf}), std::invalid_argument);
+  EXPECT_THROW(rs::StraightDrive({.boresight = {nan, -1.0}}),
+               std::invalid_argument);
+}
+
+TEST(Trajectory, FrameCountRejectsUnrepresentableCounts) {
+  rs::StraightDrive drive({.lane_offset_m = 3.0,
+                           .speed_mps = 2.0,
+                           .start_x_m = 0.0,
+                           .end_x_m = 2.0});
+  EXPECT_EQ(drive.frame_count(100.0), 101u);
+  EXPECT_EQ(drive.frame_count(100.0), drive.frames(100.0).size());
+  EXPECT_THROW((void)drive.frame_count(0.0), std::invalid_argument);
+  EXPECT_THROW((void)drive.frame_count(
+                   std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW((void)drive.frame_count(
+                   std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  // A crawl at 1e-300 m/s lasts 6e300 s: far past 2^53 frames.
+  rs::StraightDrive crawl({.speed_mps = 1e-300});
+  EXPECT_THROW((void)crawl.frame_count(1000.0), std::invalid_argument);
+  EXPECT_THROW((void)crawl.frames(1000.0), std::invalid_argument);
 }
