@@ -103,9 +103,18 @@ ROS_BENCH(perf_kernels) {
        [n](const rs::Ops& o, KernelBuffers& k) {
          k.acc[0] += o.cexp_sum(k.phase.data(), n);
        }},
-      {"tone_acc",
+      {"tone_fan_acc",
        [n](const rs::Ops& o, KernelBuffers& k) {
-         o.tone_acc(k.acc.data(), 1e-3, 0.37, 0.011, n);
+         // One tone fanned into 8 channels of n/8 samples, which
+         // partition acc, so an element is one channel sample.
+         constexpr std::size_t kCh = 8;
+         cplx* chans[kCh];
+         cplx rot[kCh];
+         for (std::size_t c = 0; c < kCh; ++c) {
+           chans[c] = k.acc.data() + c * (n / kCh);
+           rot[c] = std::polar(1.0, 0.7 * static_cast<double>(c));
+         }
+         o.tone_fan_acc(chans, rot, kCh, 1e-3, 0.37, 0.011, n / kCh);
        }},
       {"gauss_acc",
        [n](const rs::Ops& o, KernelBuffers& k) {

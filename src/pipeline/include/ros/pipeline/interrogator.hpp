@@ -50,9 +50,12 @@ struct InterrogatorConfig {
 
 /// Throw std::invalid_argument (via ROS_EXPECT) when `config` holds
 /// values the pipeline would silently misbehave on: frame_stride < 1,
-/// non-positive DBSCAN eps / min_points, or a non-finite / negative
-/// decode FoV. Called by the Interrogator constructor and by every
-/// StreamingInterrogator (so decode_drive validates before synthesis).
+/// non-positive DBSCAN eps / min_points, a non-finite / negative
+/// decode FoV, or a radar array whose FoV half angle is not finite and
+/// > 0 or whose pattern exponent or Rx spacing is not finite and >= 0.
+/// Called by the Interrogator constructor, by every
+/// StreamingInterrogator (so decode_drive validates before synthesis)
+/// and by the CorridorEngine constructor.
 void validate(const InterrogatorConfig& config);
 
 /// One decoded tag candidate.

@@ -15,6 +15,17 @@ void validate(const InterrogatorConfig& config) {
   ROS_EXPECT(std::isfinite(config.decode_fov_rad) &&
                  config.decode_fov_rad >= 0.0,
              "decode FoV must be finite and >= 0 (0 disables truncation)");
+  // RadarArray::element_field compares |az| against the FoV: a NaN FoV
+  // would switch the limit off and a FoV <= 0 would zero every return.
+  ROS_EXPECT(std::isfinite(config.array.fov_half_angle_rad) &&
+                 config.array.fov_half_angle_rad > 0.0,
+             "radar FoV half angle must be finite and > 0");
+  ROS_EXPECT(std::isfinite(config.array.pattern_exponent) &&
+                 config.array.pattern_exponent >= 0.0,
+             "radar pattern exponent must be finite and >= 0");
+  ROS_EXPECT(std::isfinite(config.array.rx_spacing_m) &&
+                 config.array.rx_spacing_m >= 0.0,
+             "Rx spacing must be finite and >= 0 (0 means lambda/2)");
 }
 
 Interrogator::Interrogator(InterrogatorConfig config)

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "ros/common/expect.hpp"
+#include "ros/exec/arena.hpp"
 #include "ros/simd/simd.hpp"
 
 namespace ros::radar {
@@ -38,7 +39,15 @@ void WaveformSynthesizer::synthesize_into(
   const double lambda = kSpeedOfLight / fc;
   const double d_rx = array_.rx_spacing(fc);
   const double dt = 1.0 / chirp_.sample_rate_hz;
-  const auto& tone = ros::simd::ops().tone_acc;
+  const auto& tone = ros::simd::ops().tone_fan_acc;
+
+  // Channel pointers and per-Rx phasors live in the thread's arena, so
+  // a steady-state frame stays off the heap.
+  auto& arena = ros::exec::Arena::thread_local_arena();
+  ros::exec::Arena::Scope scope(arena);
+  auto chans = arena.alloc_span<cplx*>(n_rx);
+  auto rot = arena.alloc_span<cplx>(n_rx);
+  for (std::size_t k = 0; k < n_rx; ++k) chans[k] = frame[k].data();
 
   for (const ScatterReturn& r : returns) {
     if (r.amplitude <= 0.0) continue;
@@ -49,14 +58,18 @@ void WaveformSynthesizer::synthesize_into(
         -4.0 * kPi * r.range_m * chirp_.start_hz / kSpeedOfLight +
         r.phase_rad;
     const double sin_az = std::sin(r.azimuth_rad);
-    // Per-sample phase advances linearly: one tone per (return, rx).
-    const double dphase = 2.0 * kPi * f_beat * dt;
+    // Eq. 2's second phase term, the inter-antenna delay, is constant
+    // over the chirp: Rx k's tone is Rx 0's times e^{j*phi_ant(k)}, so
+    // the tone is evaluated once per return and fanned to every Rx.
+    // rot[0] is exactly 1, so Rx 0 gets the tone's own bits.
     for (std::size_t k = 0; k < n_rx; ++k) {
-      // Eq. 2's second phase term: the inter-antenna delay.
       const double phi_ant =
           2.0 * kPi * static_cast<double>(k) * d_rx * sin_az / lambda;
-      tone(frame[k].data(), r.amplitude, phi0 + phi_ant, dphase, n_s);
+      rot[k] = {std::cos(phi_ant), std::sin(phi_ant)};
     }
+    // Per-sample phase advances linearly.
+    const double dphase = 2.0 * kPi * f_beat * dt;
+    tone(chans.data(), rot.data(), n_rx, r.amplitude, phi0, dphase, n_s);
   }
 
   if (noise_power_w > 0.0) {

@@ -40,6 +40,8 @@
 //         oracle per op;
 //       - fft_butterfly: each output within kButterflyRelTol relative
 //         of the scalar result (FMA contraction reorders roundings);
+//       - tone_fan_acc: the tone within kSinCosAbsTol * amp of libm's;
+//         the per-channel complex multiply rounds like the scalar one;
 //       - gauss_acc: each added sample within kGaussRelTol of the
 //         scalar sample's magnitude (vector log + sincos polynomials).
 //   * Rounding-level differences must never change a rosbench fidelity
@@ -130,10 +132,16 @@ struct Ops {
   /// sum_i e^{j*phase[i]}.
   cplx (*cexp_sum)(const double* phase, std::size_t n);
 
-  /// acc[i] += amp * e^{j*(phase0 + dphase*i)} over interleaved complex
-  /// (the FMCW tone-synthesis kernel).
-  void (*tone_acc)(cplx* acc, double amp, double phase0, double dphase,
-                   std::size_t n);
+  /// acc[k][i] += rot[k] * amp * e^{j*(phase0 + dphase*i)} for every
+  /// channel k < n_ch, over interleaved complex (the FMCW tone-synthesis
+  /// kernel). The tone is evaluated once per sample and fanned into
+  /// every channel through that channel's constant factor, so a
+  /// return's Rx channels share one sincos. With rot[k] == 1 channel k
+  /// receives the tone's own bits. Channels must not overlap each other
+  /// or `rot`.
+  void (*tone_fan_acc)(cplx* const* acc, const cplx* rot,
+                       std::size_t n_ch, double amp, double phase0,
+                       double dphase, std::size_t n);
 
   /// acc[i] += sqrt(-power*ln u1) * e^{j*2*pi*u2}: circularly symmetric
   /// complex Gaussian noise of total power `power` (variance power/2

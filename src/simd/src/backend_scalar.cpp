@@ -87,11 +87,18 @@ cplx s_cexp_sum(const double* phase, std::size_t n) {
   return {sr, si};
 }
 
-void s_tone_acc(cplx* acc, double amp, double phase0, double dphase,
-                std::size_t n) {
+void s_tone_fan_acc(cplx* const* acc, const cplx* rot, std::size_t n_ch,
+                    double amp, double phase0, double dphase,
+                    std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     const double p = phase0 + dphase * static_cast<double>(i);
-    acc[i] += cplx{amp * std::cos(p), amp * std::sin(p)};
+    const double tr = amp * std::cos(p);
+    const double ti = amp * std::sin(p);
+    for (std::size_t k = 0; k < n_ch; ++k) {
+      const double rr = rot[k].real();
+      const double ri = rot[k].imag();
+      acc[k][i] += cplx{rr * tr - ri * ti, rr * ti + ri * tr};
+    }
   }
 }
 
@@ -148,10 +155,10 @@ void s_fft_butterfly(cplx* a, cplx* b, const cplx* w, std::size_t n) {
 
 const Ops& scalar_ops() {
   static const Ops table = {
-      "scalar",    Backend::scalar, &s_sincos,   &s_cexp,
-      &s_linear_phase, &s_scale,    &s_axpby,    &s_cexp_madd,
-      &s_cmul_acc, &s_phase_mac,    &s_cexp_sum, &s_tone_acc,
-      &s_gauss_acc, &s_sum,         &s_dot,      &s_csum,
+      "scalar",        Backend::scalar, &s_sincos,      &s_cexp,
+      &s_linear_phase, &s_scale,        &s_axpby,       &s_cexp_madd,
+      &s_cmul_acc,     &s_phase_mac,    &s_cexp_sum,    &s_tone_fan_acc,
+      &s_gauss_acc,    &s_sum,          &s_dot,         &s_csum,
       &s_fft_butterfly,
   };
   return table;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -210,5 +211,23 @@ TEST(Corridor, RejectsInvalidSpecs) {
     spec.traffic.min_speed_mps = 3.0;
     spec.traffic.max_speed_mps = 2.0;
     EXPECT_THROW(rc::fleet_of(spec), std::invalid_argument);
+  }
+  // The engine runs the pipeline's validate() on its config, radar
+  // array included, before it plans any session.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double fov : {nan, 0.0, -0.1}) {
+    rc::CorridorSpec spec = small_spec();
+    spec.config.array.fov_half_angle_rad = fov;
+    EXPECT_THROW(rc::CorridorEngine{spec}, std::invalid_argument) << fov;
+  }
+  {
+    rc::CorridorSpec spec = small_spec();
+    spec.config.array.pattern_exponent = nan;
+    EXPECT_THROW(rc::CorridorEngine{spec}, std::invalid_argument);
+  }
+  {
+    rc::CorridorSpec spec = small_spec();
+    spec.config.array.rx_spacing_m = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(rc::CorridorEngine{spec}, std::invalid_argument);
   }
 }

@@ -205,6 +205,31 @@ TEST(InterrogatorConfigValidation, RejectsBadValues) {
         rp::decode_drive(world, default_drive(), {0.0, 0.0}, cfg),
         std::invalid_argument);
   }
-  // A valid config still constructs.
+  // A broken radar array: a NaN FoV would switch
+  // RadarArray::element_field's azimuth limit off, a FoV <= 0 would
+  // zero every return into a silent no-read.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double fov : {nan, 0.0, -0.1}) {
+    rp::InterrogatorConfig cfg;
+    cfg.array.fov_half_angle_rad = fov;
+    EXPECT_THROW(rp::Interrogator{cfg}, std::invalid_argument) << fov;
+  }
+  {
+    rp::InterrogatorConfig cfg;
+    cfg.array.pattern_exponent = nan;
+    EXPECT_THROW(rp::Interrogator{cfg}, std::invalid_argument);
+  }
+  {
+    rp::InterrogatorConfig cfg;
+    cfg.array.rx_spacing_m = std::numeric_limits<double>::infinity();
+    EXPECT_THROW(rp::Interrogator{cfg}, std::invalid_argument);
+  }
+  // A valid config still constructs, including the array's boundary
+  // values: an isotropic element (exponent 0) and the lambda/2 default
+  // spacing (0).
   EXPECT_NO_THROW(rp::Interrogator{fast_config()});
+  rp::InterrogatorConfig edge = fast_config();
+  edge.array.pattern_exponent = 0.0;
+  edge.array.rx_spacing_m = 0.0;
+  EXPECT_NO_THROW(rp::Interrogator{edge});
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "ros/common/angles.hpp"
@@ -11,6 +12,7 @@
 #include "ros/common/units.hpp"
 #include "ros/dsp/fft.hpp"
 #include "ros/radar/processing.hpp"
+#include "ros/simd/simd.hpp"
 
 namespace rr = ros::radar;
 namespace rc = ros::common;
@@ -132,6 +134,125 @@ TEST(Waveform, SuperpositionOfTwoReturns) {
   const double bin_b = c.beat_frequency_hz(5.0) / (c.sample_rate_hz / 256);
   EXPECT_GT(mag[static_cast<std::size_t>(std::lround(bin_a))], 100.0);
   EXPECT_GT(mag[static_cast<std::size_t>(std::lround(bin_b))], 100.0);
+}
+
+// --- synthesis contract ----------------------------------------------
+//
+// synthesize_into evaluates one tone per return and fans it into every
+// Rx through the constant inter-antenna phasor e^{j*phi_ant(k)}. The
+// per-(return, Rx) evaluation of Eq. 2 in libm stays the oracle: every
+// sample lies within 1e-10 of the summed return amplitude, on every
+// backend, and Rx 0, whose phasor is exactly 1, is bit-identical to it
+// on the scalar backend.
+
+namespace {
+
+/// One libm tone for every (return, Rx) pair, the phases formed as the
+/// synthesizer forms them.
+rr::FrameCube per_rx_oracle(const rr::WaveformSynthesizer& synth,
+                            const std::vector<rr::ScatterReturn>& returns) {
+  const rr::FmcwChirp& chirp = synth.chirp();
+  const auto n_rx = static_cast<std::size_t>(synth.array().n_rx);
+  const auto n_s = static_cast<std::size_t>(chirp.n_samples);
+  const double fc = chirp.center_hz();
+  const double lambda = rc::kSpeedOfLight / fc;
+  const double d_rx = synth.array().rx_spacing(fc);
+  const double dt = 1.0 / chirp.sample_rate_hz;
+  rr::FrameCube frame(n_rx, std::vector<rc::cplx>(n_s));
+  for (const rr::ScatterReturn& r : returns) {
+    if (r.amplitude <= 0.0) continue;
+    const double f_beat = chirp.beat_frequency_hz(r.range_m) + r.doppler_hz;
+    const double phi0 =
+        -4.0 * rc::kPi * r.range_m * chirp.start_hz / rc::kSpeedOfLight +
+        r.phase_rad;
+    const double sin_az = std::sin(r.azimuth_rad);
+    const double dphase = 2.0 * rc::kPi * f_beat * dt;
+    for (std::size_t k = 0; k < n_rx; ++k) {
+      const double phi_ant =
+          2.0 * rc::kPi * static_cast<double>(k) * d_rx * sin_az / lambda;
+      const double phase0 = phi0 + phi_ant;
+      for (std::size_t i = 0; i < n_s; ++i) {
+        const double p = phase0 + dphase * static_cast<double>(i);
+        frame[k][i] += rc::cplx{r.amplitude * std::cos(p),
+                                r.amplitude * std::sin(p)};
+      }
+    }
+  }
+  return frame;
+}
+
+/// n returns spread like a roadside frame: 1-12 m, +-2 kHz Doppler,
+/// |azimuth| <= 1.2 rad, amplitudes over four decades. With n > 2 two
+/// of them have amplitude <= 0; the synthesizer must skip them, and a
+/// -0.3 return that leaked in would miss the bound by nine decades.
+std::vector<rr::ScatterReturn> random_returns(rc::Rng& rng, std::size_t n) {
+  std::vector<rr::ScatterReturn> out(n);
+  for (auto& r : out) {
+    r.amplitude = std::pow(10.0, rng.uniform(-6.0, -2.0));
+    r.phase_rad = rng.uniform(-rc::kPi, rc::kPi);
+    r.range_m = rng.uniform(1.0, 12.0);
+    r.azimuth_rad = rng.uniform(-1.2, 1.2);
+    r.doppler_hz = rng.uniform(-2e3, 2e3);
+  }
+  if (n > 2) {
+    out[1].amplitude = 0.0;
+    out[n - 1].amplitude = -0.3;
+  }
+  return out;
+}
+
+double amplitude_sum(const std::vector<rr::ScatterReturn>& returns) {
+  double sum = 0.0;
+  for (const auto& r : returns) sum += std::max(r.amplitude, 0.0);
+  return sum;
+}
+
+bool bit_equal(rc::cplx a, rc::cplx b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+struct BackendGuard {
+  ~BackendGuard() { ros::simd::reset_backend(); }
+};
+
+}  // namespace
+
+TEST(WaveformSynthesis, FannedTonesMatchPerRxEvaluation) {
+  const BackendGuard guard;
+  const ros::simd::Backend native = ros::simd::available_backends().back();
+  for (const ros::simd::Backend b : {ros::simd::Backend::scalar, native}) {
+    ros::simd::set_backend(b);
+    for (const int n_rx : {1, 8}) {
+      rr::RadarArray array = rr::RadarArray::ti_iwr1443();
+      array.n_rx = n_rx;
+      const rr::WaveformSynthesizer synth(rr::FmcwChirp::ti_iwr1443(),
+                                          array);
+      rc::Rng rng(31 + static_cast<std::uint64_t>(n_rx));
+      for (const std::size_t n_returns : {std::size_t{1}, std::size_t{23}}) {
+        for (int trial = 0; trial < 8; ++trial) {
+          const auto returns = random_returns(rng, n_returns);
+          const auto frame = synth.synthesize(returns, 0.0, rng);
+          const auto oracle = per_rx_oracle(synth, returns);
+          const double tol = 1e-10 * amplitude_sum(returns);
+          ASSERT_EQ(frame.size(), oracle.size());
+          for (std::size_t k = 0; k < frame.size(); ++k) {
+            for (std::size_t i = 0; i < frame[k].size(); ++i) {
+              ASSERT_LE(std::abs(frame[k][i] - oracle[k][i]), tol)
+                  << ros::simd::to_string(b) << " n_rx=" << n_rx
+                  << " returns=" << n_returns << " k=" << k << " i=" << i;
+            }
+          }
+          if (b == ros::simd::Backend::scalar) {
+            for (std::size_t i = 0; i < frame[0].size(); ++i) {
+              ASSERT_TRUE(bit_equal(frame[0][i], oracle[0][i]))
+                  << "n_rx=" << n_rx << " returns=" << n_returns
+                  << " i=" << i;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- noise statistics ------------------------------------------------

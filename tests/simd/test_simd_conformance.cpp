@@ -270,27 +270,106 @@ TEST(SimdConformance, CmulAccWithinElementTol) {
   }
 }
 
-TEST(SimdConformance, ToneAccWithinElementTol) {
+namespace {
+
+/// n_ch unit-or-smaller channel factors, rot[0] == 1 as the
+/// synthesizer passes it for Rx 0.
+std::vector<cplx> gen_rotations(Rng& rng, std::size_t n_ch) {
+  std::vector<cplx> rot(n_ch, cplx{1.0, 0.0});
+  for (std::size_t k = 1; k < n_ch; ++k) {
+    rot[k] = std::polar(rng.uniform(0.0, 1.5),
+                        rng.uniform(-ros::common::kPi, ros::common::kPi));
+  }
+  return rot;
+}
+
+std::vector<cplx*> channel_ptrs(std::vector<std::vector<cplx>>& chans) {
+  std::vector<cplx*> out;
+  for (auto& c : chans) out.push_back(c.data());
+  return out;
+}
+
+}  // namespace
+
+TEST(SimdConformance, ToneFanAccWithinElementTol) {
   Rng rng(106);
   for (rs::Backend b : vector_backends()) {
     const rs::Ops& ops = rs::backend_ops(b);
-    for (std::size_t n : kSizes) {
-      const double amp = rng.uniform(0.0, 3.0);
-      const double phase0 = rng.uniform(-1e3, 1e3);
-      const double dphase = rng.uniform(-1.0, 1.0);
-      std::vector<cplx> acc0(n), acc1(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        acc0[i] = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-        acc1[i] = acc0[i];
+    for (std::size_t n_ch : {std::size_t{1}, std::size_t{3},
+                             std::size_t{8}}) {
+      for (std::size_t n : kSizes) {
+        const double amp = rng.uniform(0.0, 3.0);
+        const double phase0 = rng.uniform(-1e3, 1e3);
+        const double dphase = rng.uniform(-1.0, 1.0);
+        const std::vector<cplx> rot = gen_rotations(rng, n_ch);
+        std::vector<std::vector<cplx>> acc0(n_ch, std::vector<cplx>(n));
+        for (auto& chan : acc0) {
+          for (auto& v : chan) {
+            v = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
+          }
+        }
+        auto acc1 = acc0;
+        ref().tone_fan_acc(channel_ptrs(acc0).data(), rot.data(), n_ch,
+                           amp, phase0, dphase, n);
+        ops.tone_fan_acc(channel_ptrs(acc1).data(), rot.data(), n_ch, amp,
+                         phase0, dphase, n);
+        for (std::size_t k = 0; k < n_ch; ++k) {
+          // The tone's own bound (sincos plus the amp multiply), scaled
+          // by the factor; each side also rounds its two products and
+          // their sum. A unit factor multiplies exactly, so channel 0
+          // keeps the bare tone bound.
+          const double w = std::abs(rot[k].real()) + std::abs(rot[k].imag());
+          const double tol =
+              k == 0 ? amp * (rs::kSinCosAbsTol + 8e-16) + 1e-15
+                     : w * amp * (rs::kSinCosAbsTol + 1.6e-15) + 1e-15;
+          for (std::size_t i = 0; i < n; ++i) {
+            EXPECT_NEAR(acc1[k][i].real(), acc0[k][i].real(), tol)
+                << ops.name << " k=" << k << " i=" << i << " n=" << n;
+            EXPECT_NEAR(acc1[k][i].imag(), acc0[k][i].imag(), tol)
+                << ops.name << " k=" << k << " i=" << i << " n=" << n;
+          }
+        }
       }
-      ref().tone_acc(acc0.data(), amp, phase0, dphase, n);
-      ops.tone_acc(acc1.data(), amp, phase0, dphase, n);
-      const double tol = amp * (rs::kSinCosAbsTol + 8e-16) + 1e-15;
+    }
+  }
+}
+
+TEST(SimdConformance, ToneFanAccChannelsRoundLikeScalar) {
+  // On every backend, channel k of one call is the scalar complex
+  // product rot[k] * t, where t is the tone the same call put into the
+  // unit-factor channel 0; and a one-channel call reproduces channel 0
+  // of an eight-channel call. The fan itself adds no backend-dependent
+  // rounding: only the tone's sincos differs between backends.
+  Rng rng(107);
+  for (rs::Backend b : rs::available_backends()) {
+    const rs::Ops& ops = rs::backend_ops(b);
+    for (std::size_t n : kSizes) {
+      const std::size_t n_ch = 8;
+      const double amp = rng.uniform(0.1, 3.0);
+      const double phase0 = rng.uniform(-1e5, 1e5);
+      const double dphase = rng.uniform(-2.0, 2.0);
+      const std::vector<cplx> rot = gen_rotations(rng, n_ch);
+      std::vector<std::vector<cplx>> fan(n_ch, std::vector<cplx>(n));
+      ops.tone_fan_acc(channel_ptrs(fan).data(), rot.data(), n_ch, amp,
+                       phase0, dphase, n);
+      std::vector<cplx> single(n);
+      cplx* single_ptr = single.data();
+      const cplx one{1.0, 0.0};
+      ops.tone_fan_acc(&single_ptr, &one, 1, amp, phase0, dphase, n);
       for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(acc1[i].real(), acc0[i].real(), tol)
+        EXPECT_TRUE(bit_equal(single[i].real(), fan[0][i].real()) &&
+                    bit_equal(single[i].imag(), fan[0][i].imag()))
             << ops.name << " i=" << i << " n=" << n;
-        EXPECT_NEAR(acc1[i].imag(), acc0[i].imag(), tol)
-            << ops.name << " i=" << i << " n=" << n;
+        const double tr = fan[0][i].real();
+        const double ti = fan[0][i].imag();
+        for (std::size_t k = 1; k < n_ch; ++k) {
+          const double rr = rot[k].real();
+          const double ri = rot[k].imag();
+          EXPECT_EQ(fan[k][i].real(), rr * tr - ri * ti)
+              << ops.name << " k=" << k << " i=" << i << " n=" << n;
+          EXPECT_EQ(fan[k][i].imag(), rr * ti + ri * tr)
+              << ops.name << " k=" << k << " i=" << i << " n=" << n;
+        }
       }
     }
   }
