@@ -6,19 +6,16 @@
 //      ReadSession from the free list (or construct one, cold path) and
 //      bind it; plans are pre-sorted by (start, vehicle, tag), so
 //      activation order never depends on input enumeration order.
-//   2. shard A (parallel) — every due (session, frame) pair is one work
-//      item; `parallel_for` over the flat work list runs the heavy
-//      synthesize stage into per-session packet slots. Frame i of any
-//      session depends only on (config, scene, pose_i, i) through its
-//      counter-derived RNG stream, so items can run on any thread in
-//      any order.
-//   3. shard B (parallel) — `parallel_for` over active sessions; each
-//      consumes its own packets in frame order (sessions are mutually
-//      independent, so per-session sequentiality is the only ordering
-//      the bit-determinism contract needs). A session that consumed its
-//      last frame finalizes in place, writing its pre-assigned record
-//      slot.
-//   4. sweep (serial) — finished sessions return to the free list;
+//   2. session pass (parallel) — `parallel_for` over active sessions;
+//      each pushes its due frames through its streaming engine in frame
+//      order (synthesize into the thread's packet, then consume), so a
+//      frame's profile never leaves the core that made it. Sessions are
+//      mutually independent and frame i depends only on (config, scene,
+//      pose_i, i) through its counter-derived RNG stream, so
+//      per-session frame order is the only ordering the bit-determinism
+//      contract needs. A session that consumed its last frame finalizes
+//      in place, writing its pre-assigned record slot.
+//   3. sweep (serial) — finished sessions return to the free list;
 //      throughput rates, latency histograms, and occupancy gauges tick.
 //
 // Determinism: every readout is bit-identical to the same session run
@@ -105,12 +102,8 @@ class CorridorEngine {
   struct Active {
     ReadSession* session = nullptr;
     std::size_t plan_index = 0;
-    std::size_t tick_frames = 0;  ///< frames due this tick
+    std::size_t tick_frames = 0;  ///< frames pushed this tick
     bool finished = false;
-  };
-  struct WorkItem {
-    std::size_t active_index = 0;
-    std::size_t k = 0;  ///< offset within the session's due frames
   };
 
   void activate(std::size_t plan_index, double now_ms);
@@ -130,7 +123,6 @@ class CorridorEngine {
   std::vector<std::unique_ptr<ReadSession>> sessions_;  ///< all created
   std::vector<ReadSession*> free_;
   std::vector<Active> active_;
-  std::vector<WorkItem> work_;           ///< reused per tick
   std::vector<std::uint64_t> vehicle_scratch_;  ///< distinct-id count
 };
 

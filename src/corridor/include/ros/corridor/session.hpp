@@ -2,9 +2,9 @@
 //
 // A ReadSession owns everything one in-flight read needs with a stable
 // address: the tag-local StraightDrive the streaming engine points at,
-// the per-session config copy, the decode-mode StreamingInterrogator,
-// and a reusable FramePacket buffer for the current tick's synthesis
-// shard. Sessions live on the heap behind unique_ptr (the engine's
+// the per-session config copy, and the decode-mode
+// StreamingInterrogator, whose frames_consumed() is the scheduler's
+// cursor. Sessions live on the heap behind unique_ptr (the engine's
 // free list), so rebinding one for the next vehicle never moves it.
 //
 // Recycling contract: the first bind() constructs the engine; every
@@ -13,9 +13,7 @@
 // heap allocation (pinned by tests/corridor/test_corridor_recycle).
 #pragma once
 
-#include <cstddef>
 #include <optional>
-#include <vector>
 
 #include "ros/corridor/world.hpp"
 #include "ros/pipeline/streaming.hpp"
@@ -38,22 +36,12 @@ class ReadSession {
   const SessionPlan& plan() const { return plan_; }
   double begin_ms() const { return begin_ms_; }
 
-  /// Next frame index to synthesize/consume — the scheduler's cursor.
-  std::size_t next_frame = 0;
-
-  /// Grow-only packet buffer for one tick's worth of frames.
-  void ensure_packets(std::size_t n) {
-    if (packets_.size() < n) packets_.resize(n);
-  }
-  ros::pipeline::FramePacket& packet(std::size_t k) { return packets_[k]; }
-
  private:
   std::optional<ros::pipeline::StreamingInterrogator> engine_;
   ros::scene::StraightDrive drive_{ros::scene::StraightDrive::Params{}};
   ros::pipeline::InterrogatorConfig config_;
   SessionPlan plan_;
   double begin_ms_ = 0.0;
-  std::vector<ros::pipeline::FramePacket> packets_;
 };
 
 }  // namespace ros::corridor

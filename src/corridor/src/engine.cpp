@@ -133,9 +133,11 @@ std::size_t CorridorEngine::frames_due(const Active& a,
   const SessionPlan& plan = plans_[a.plan_index];
   const double elapsed = sim_t - plan.start_s;
   if (elapsed < 0.0) return 0;
-  const auto due =
-      static_cast<std::size_t>(std::floor(elapsed * rate_hz_)) + 1;
-  return std::min(due, a.session->engine().n_frames());
+  // Clamp before converting: a long tick can put elapsed * rate past
+  // any integer (n_frames < 2^53 converts exactly).
+  const std::size_t n = a.session->engine().n_frames();
+  return static_cast<std::size_t>(std::min(
+      std::floor(elapsed * rate_hz_) + 1.0, static_cast<double>(n)));
 }
 
 void CorridorEngine::finalize(Active& a, double t_ms) {
@@ -152,10 +154,12 @@ bool CorridorEngine::tick() {
   ++tick_index_;
   // Fast-forward across empty stretches (sparse traffic): simulated
   // time is discrete in ticks, so jumping the index is exact.
+  // plan_sessions() bounds start / tick below 2^53; the clamp keeps the
+  // conversion defined for a start before zero too.
   if (active_.empty() && next_plan_ < plans_.size()) {
-    const auto skip_to = static_cast<std::uint64_t>(
-        std::floor(plans_[next_plan_].start_s / spec_.tick_s));
-    tick_index_ = std::max(tick_index_, skip_to);
+    const double skip_to = std::clamp(
+        std::floor(plans_[next_plan_].start_s / spec_.tick_s), 0.0, 0x1p53);
+    tick_index_ = std::max(tick_index_, static_cast<std::uint64_t>(skip_to));
   }
   const double sim_t = sim_time_s();
   const double t_ms = now_ms();
@@ -167,43 +171,25 @@ bool CorridorEngine::tick() {
     ++next_plan_;
   }
 
-  // 2. Flat work list: one item per due (session, frame).
-  work_.clear();
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    Active& a = active_[i];
-    const std::size_t due = frames_due(a, sim_t);
-    const std::size_t next = a.session->next_frame;
-    a.tick_frames = due > next ? due - next : 0;
-    a.session->ensure_packets(a.tick_frames);
-    for (std::size_t k = 0; k < a.tick_frames; ++k) {
-      work_.push_back({i, k});
-    }
-  }
-
-  // 3. Shard A: heavy synthesis, any thread, any order.
-  ros::exec::parallel_for(0, work_.size(), [&](std::size_t w) {
-    const WorkItem& item = work_[w];
-    ReadSession& s = *active_[item.active_index].session;
-    s.engine().synthesize_into(s.next_frame + item.k, s.packet(item.k));
-  });
-
-  // 4. Shard B: per-session in-order consume; finalize completed
-  // sessions into their pre-assigned record slots.
+  // 2. One pass per session: push its due frames in frame order on
+  // whichever thread claims it, then finalize in place if it consumed
+  // its last frame. Sessions are mutually independent, so per-session
+  // frame order is the only ordering the determinism contract needs.
   ros::exec::parallel_for(0, active_.size(), [&](std::size_t i) {
     Active& a = active_[i];
-    ReadSession& s = *a.session;
-    for (std::size_t k = 0; k < a.tick_frames; ++k) {
-      s.engine().consume(std::move(s.packet(k)));
-    }
-    s.next_frame += a.tick_frames;
-    if (s.next_frame >= s.engine().n_frames()) {
-      finalize(a, now_ms());
-    }
+    auto& engine = a.session->engine();
+    const std::size_t first = engine.frames_consumed();
+    const std::size_t due = frames_due(a, sim_t);
+    for (std::size_t f = first; f < due; ++f) engine.push_frame(f);
+    a.tick_frames = due - first;
+    if (due >= engine.n_frames()) finalize(a, now_ms());
   });
 
-  // 5. Serial sweep: recycle, count, report.
+  // 3. Serial sweep: recycle, count, report.
+  std::size_t frames_now = 0;
   std::size_t completed_now = 0;
   for (std::size_t i = 0; i < active_.size();) {
+    frames_now += active_[i].tick_frames;
     if (active_[i].finished) {
       const ReadRecord& record = result_.reads[active_[i].plan_index];
       ++completed_now;
@@ -224,7 +210,7 @@ bool CorridorEngine::tick() {
   }
 
   ++result_.stats.ticks;
-  result_.stats.frames_processed += work_.size();
+  result_.stats.frames_processed += frames_now;
   result_.stats.sim_time_s = sim_t;
   result_.stats.peak_active_sessions =
       std::max(result_.stats.peak_active_sessions,
@@ -241,7 +227,7 @@ bool CorridorEngine::tick() {
       std::max(result_.stats.peak_active_vehicles, distinct);
 
   reg.counter("corridor.ticks").inc();
-  reg.counter("corridor.frames.processed").inc(work_.size());
+  reg.counter("corridor.frames.processed").inc(frames_now);
   if (completed_now > 0) {
     reg.counter("corridor.reads.completed").inc(completed_now);
   }

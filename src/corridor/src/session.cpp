@@ -7,7 +7,6 @@ void ReadSession::bind(const CorridorSpec& spec, const SessionPlan& plan,
                        double begin_ms) {
   plan_ = plan;
   begin_ms_ = begin_ms;
-  next_frame = 0;
   // Copy-assign reuses capacity; the engine below copies again into its
   // own config, also by assignment on the rebind path.
   config_ = spec.config;

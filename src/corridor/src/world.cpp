@@ -1,6 +1,7 @@
 #include "ros/corridor/world.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <tuple>
 
 #include "ros/common/expect.hpp"
@@ -31,6 +32,8 @@ std::vector<Vehicle> fleet_of(const CorridorSpec& spec) {
              "corridor: vehicle speed range must be positive");
   ROS_EXPECT(t.max_lane_m >= t.min_lane_m,
              "corridor: lane range inverted");
+  ROS_EXPECT(std::isfinite(t.headway_s) && std::isfinite(t.headway_jitter_s),
+             "corridor: headway must be finite");
   const std::uint64_t branch = derive_stream_seed(spec.seed, kVehicleBranch);
   std::vector<Vehicle> fleet;
   fleet.reserve(t.n_vehicles);
@@ -65,17 +68,22 @@ std::uint64_t session_noise_seed(std::uint64_t corridor_seed,
 
 std::vector<SessionPlan> plan_sessions(const CorridorSpec& spec) {
   ROS_EXPECT(!spec.tags.empty(), "corridor: no tag installations");
-  ROS_EXPECT(spec.tick_s > 0.0, "corridor: tick_s must be positive");
+  ROS_EXPECT(spec.tick_s > 0.0 && std::isfinite(spec.tick_s),
+             "corridor: tick_s must be positive and finite");
   const std::vector<Vehicle> fleet = fleet_of(spec);
   std::vector<SessionPlan> plans;
   plans.reserve(fleet.size() * spec.tags.size());
+  double last_end_s = 0.0;
   for (const Vehicle& veh : fleet) {
-    ROS_EXPECT(veh.speed_mps > 0.0,
-               "corridor: vehicle speed must be positive");
+    ROS_EXPECT(veh.speed_mps > 0.0 && std::isfinite(veh.speed_mps) &&
+                   std::isfinite(veh.spawn_s),
+               "corridor: vehicle speed must be positive and finite");
     for (std::size_t t = 0; t < spec.tags.size(); ++t) {
       const TagSpec& tag = spec.tags[t];
-      ROS_EXPECT(tag.capture_half_span_m > 0.0,
-                 "corridor: capture span must be positive");
+      ROS_EXPECT(tag.capture_half_span_m > 0.0 &&
+                     std::isfinite(tag.capture_half_span_m) &&
+                     std::isfinite(tag.position_m),
+                 "corridor: capture span must be positive and finite");
       ROS_EXPECT(tag.position_m >= tag.capture_half_span_m,
                  "corridor: tag capture span starts before the segment");
       SessionPlan plan;
@@ -94,8 +102,14 @@ std::vector<SessionPlan> plan_sessions(const CorridorSpec& spec) {
                     .end_x_m = tag.capture_half_span_m,
                     .radar_height_m = veh.height_m};
       plans.push_back(plan);
+      last_end_s = std::max(last_end_s, plan.start_s + plan.duration_s);
     }
   }
+  // StraightDrive::frame_count's rule, applied to ticks: the scheduler
+  // counts ticks in an integer and converts start / tick_s to one.
+  const double n_ticks = std::floor(last_end_s / spec.tick_s) + 1.0;
+  ROS_EXPECT(std::isfinite(n_ticks) && n_ticks < 0x1p53,
+             "corridor: tick_s is too short for the corridor's duration");
   // (start, vehicle id, tag index) is a total order over sessions that
   // never consults list position — the scheduler, the free-list, and
   // the result records all inherit permutation invariance from it.

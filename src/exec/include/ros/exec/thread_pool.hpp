@@ -11,21 +11,25 @@
 // ros::common::derive_stream_seed), so serial and parallel runs produce
 // bit-identical results.
 //
-// Scheduling: a parallel_for splits [begin, end) into contiguous chunks;
-// workers and the calling thread claim chunks from a shared atomic
-// cursor (the caller always participates, so a pool of N executors uses
-// N-1 background workers). Nested parallel_for calls from inside a pool
+// Scheduling: workers and the calling thread claim contiguous chunks of
+// [begin, end) from a shared atomic cursor (the caller always
+// participates, so a pool of N executors uses N-1 background workers).
+// Claims are guided: each takes ceil(left / (2N)) of the iterations
+// still unclaimed, never fewer than `grain`, so early claims are large
+// and the last ones small enough that no executor idles through
+// another's long tail. The join waits for the finished-iteration count
+// to reach the range size. Nested parallel_for calls from inside a pool
 // task run serially inline — simple, deadlock-free, and still correct.
 // The first exception thrown by any chunk is captured and rethrown on
 // the calling thread after the join.
 //
 // Observability (via ros::obs::MetricsRegistry::global()):
 //   exec.pool.threads        gauge    executor count of the global pool
+//   exec.pool.queue_depth    gauge    jobs queued when a region starts
 //   exec.parallel_for        counter  fork-join regions entered
 //   exec.parallel_for.serial counter  regions that ran the serial path
-//   exec.chunks.worker       counter  chunks executed by pool workers
-//   exec.chunks.caller       counter  chunks "stolen" by the caller
-//   exec.chunk.ms            histogram per-chunk latency
+//   exec.chunks.worker       counter  chunks claimed by pool workers
+//   exec.chunks.caller       counter  chunks claimed by the caller
 #pragma once
 
 #include <atomic>
@@ -89,7 +93,8 @@ class ThreadPool {
   /// inside a pool task) runs strictly in index order on the calling
   /// thread. The first exception thrown by any iteration is rethrown
   /// here after all in-flight chunks settle; remaining chunks are
-  /// skipped. `grain` is the minimum iterations per chunk.
+  /// skipped. `grain` is the minimum iterations per chunk (the last
+  /// chunk may be shorter).
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body,
                     std::size_t grain = 1);

@@ -9,7 +9,6 @@
 #include "ros/obs/flight_recorder.hpp"
 #include "ros/obs/log.hpp"
 #include "ros/obs/metrics.hpp"
-#include "ros/obs/timer.hpp"
 
 namespace ros::exec {
 
@@ -40,17 +39,33 @@ std::size_t default_threads() {
 }
 
 struct ThreadPool::Job {
-  std::size_t begin = 0;
   std::size_t end = 0;
-  std::size_t chunk = 1;
+  std::size_t grain = 1;   ///< smallest claim
+  std::size_t split = 2;   ///< a claim takes ceil(left / split)
   const std::function<void(std::size_t)>* body = nullptr;
 
   std::atomic<std::size_t> next{0};     ///< next unclaimed index
   std::atomic<bool> failed{false};      ///< skip remaining chunks
   std::mutex mu;                        ///< guards pending + error
   std::condition_variable done_cv;
-  std::size_t pending = 0;              ///< chunks not yet finished
+  std::size_t pending = 0;              ///< iterations not yet finished
   std::exception_ptr error;
+
+  /// Guided claim: ceil(left / split) iterations, never fewer than
+  /// `grain`, so claims shrink as the range drains and the last ones
+  /// are small enough to even out the executors' tails. Returns false
+  /// once the range is exhausted.
+  bool claim(std::size_t& start, std::size_t& stop) {
+    start = next.load(std::memory_order_relaxed);
+    do {
+      if (start >= end) return false;
+      const std::size_t left = end - start;
+      const std::size_t take = std::max(grain, (left + split - 1) / split);
+      stop = start + std::min(left, take);
+    } while (!next.compare_exchange_weak(start, stop,
+                                         std::memory_order_relaxed));
+    return true;
+  }
 };
 
 ThreadPool::ThreadPool(std::size_t n_threads)
@@ -127,12 +142,9 @@ void ThreadPool::run_chunks(Job& job, bool is_worker) {
   ++t_task_depth;
   busy_.fetch_add(1, std::memory_order_relaxed);
   std::size_t executed = 0;
-  for (;;) {
-    const std::size_t start =
-        job.next.fetch_add(job.chunk, std::memory_order_relaxed);
-    if (start >= job.end) break;
-    const std::size_t stop = std::min(start + job.chunk, job.end);
-    const double t0 = ros::obs::monotonic_s();
+  std::size_t start = 0;
+  std::size_t stop = 0;
+  while (job.claim(start, stop)) {
     if (!job.failed.load(std::memory_order_acquire)) {
       try {
         for (std::size_t i = start; i < stop; ++i) (*job.body)(i);
@@ -142,12 +154,11 @@ void ThreadPool::run_chunks(Job& job, bool is_worker) {
         if (!job.error) job.error = std::current_exception();
       }
     }
-    reg.histogram("exec.chunk.ms")
-        .observe((ros::obs::monotonic_s() - t0) * 1000.0);
     ++executed;
     {
       std::lock_guard<std::mutex> lock(job.mu);
-      if (--job.pending == 0) job.done_cv.notify_all();
+      job.pending -= stop - start;
+      if (job.pending == 0) job.done_cv.notify_all();
     }
   }
   busy_.fetch_sub(1, std::memory_order_relaxed);
@@ -177,15 +188,12 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
   reg.gauge("exec.pool.threads").set(static_cast<double>(n_threads_));
 
   auto job = std::make_shared<Job>();
-  job->begin = begin;
   job->end = end;
-  // ~4 chunks per executor balances load without shredding the range.
-  const std::size_t target_chunks = n_threads_ * 4;
-  job->chunk = std::max(std::max<std::size_t>(1, grain),
-                        (n + target_chunks - 1) / target_chunks);
+  job->grain = std::max<std::size_t>(1, grain);
+  job->split = 2 * n_threads_;
   job->body = &body;
   job->next.store(begin, std::memory_order_relaxed);
-  job->pending = (n + job->chunk - 1) / job->chunk;
+  job->pending = n;
 
   regions_.fetch_add(1, std::memory_order_relaxed);
   std::size_t depth = 0;

@@ -175,7 +175,8 @@ class StreamingInterrogator {
   /// (enforced).
   void consume(FramePacket&& packet);
 
-  /// synthesize + consume one frame on the calling thread.
+  /// synthesize + consume one frame on the calling thread, through a
+  /// per-thread packet that decode mode reuses without allocating.
   void push_frame(std::size_t i);
 
   /// The parallel driver: synthesize every remaining frame in blocks of

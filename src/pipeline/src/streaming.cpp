@@ -326,7 +326,13 @@ void StreamingInterrogator::evict_before(std::size_t min_live_frame) {
 }
 
 void StreamingInterrogator::push_frame(std::size_t i) {
-  consume(synthesize(i));
+  // One packet per thread, shared by every engine that thread drives:
+  // decode mode's consume() only reads the profile, so its buffers are
+  // reused warm from frame to frame. Full mode moves the profiles into
+  // the window, and the next frame allocates them afresh.
+  thread_local FramePacket packet;
+  synthesize_into(i, packet);
+  consume(std::move(packet));
 }
 
 void StreamingInterrogator::push_all() {

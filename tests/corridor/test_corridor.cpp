@@ -145,6 +145,24 @@ TEST(Corridor, BitIdenticalAcrossThreadCounts) {
       << "corridor output changed between 1 and 2 threads";
   EXPECT_EQ(digests[0], digests[2])
       << "corridor output changed between 1 and 4 threads";
+
+  // Light traffic: one vehicle every 3 s, so a tick holds at most two
+  // sessions (one finishing as the next starts), fewer than the
+  // executors, and most executors find nothing to claim.
+  rc::CorridorSpec light = small_spec();
+  light.traffic.n_vehicles = 3;
+  light.traffic.headway_s = 3.0;
+  std::vector<std::uint64_t> light_digests;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ros::exec::ThreadPool::set_global_threads(threads);
+    const rc::CorridorResult result = rc::run_corridor(light);
+    EXPECT_LE(result.stats.peak_active_sessions, 2u);
+    light_digests.push_back(rc::result_digest(result));
+  }
+  EXPECT_EQ(light_digests[0], light_digests[1])
+      << "light-traffic output changed between 1 and 2 threads";
+  EXPECT_EQ(light_digests[0], light_digests[2])
+      << "light-traffic output changed between 1 and 8 threads";
 }
 
 TEST(Corridor, SpawnPermutationInvariant) {
@@ -183,15 +201,60 @@ TEST(Corridor, TickDrivenRunMatchesOneShot) {
   EXPECT_EQ(rc::result_digest(engine.result()), reference);
 }
 
+TEST(Corridor, TickLongerThanTheCorridorDrainsInOneTick) {
+  // Every plan starts and every frame falls due in the first tick; the
+  // frame-count conversions clamp instead of overflowing.
+  const rc::CorridorSpec spec = small_spec();
+  rc::CorridorSpec coarse = spec;
+  coarse.tick_s = 1e300;
+  const rc::CorridorResult result = rc::run_corridor(coarse);
+  EXPECT_EQ(result.stats.ticks, 1u);
+  EXPECT_EQ(result.stats.reads_completed, result.reads.size());
+  EXPECT_EQ(rc::result_digest(result),
+            rc::result_digest(rc::run_corridor(spec)));
+}
+
 TEST(Corridor, RejectsInvalidSpecs) {
   {
     rc::CorridorSpec spec = small_spec();
     spec.tags.clear();
     EXPECT_THROW(rc::plan_sessions(spec), std::invalid_argument);
   }
-  {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // 1e-300 s ticks would need ~1e300 ticks to cover the corridor.
+  for (const double tick : {0.0, -0.05, nan, inf, 1e-300}) {
     rc::CorridorSpec spec = small_spec();
-    spec.tick_s = 0.0;
+    spec.tick_s = tick;
+    EXPECT_THROW(rc::plan_sessions(spec), std::invalid_argument) << tick;
+  }
+  for (const double bad : {nan, inf, -inf}) {
+    rc::CorridorSpec spec = small_spec();
+    spec.traffic.headway_s = bad;
+    EXPECT_THROW(rc::plan_sessions(spec), std::invalid_argument) << bad;
+    spec = small_spec();
+    spec.traffic.headway_jitter_s = bad;
+    EXPECT_THROW(rc::plan_sessions(spec), std::invalid_argument) << bad;
+    spec = small_spec();
+    spec.tags[0].position_m = bad;
+    EXPECT_THROW(rc::plan_sessions(spec), std::invalid_argument) << bad;
+    spec = small_spec();
+    spec.tags[0].capture_half_span_m = bad;
+    EXPECT_THROW(rc::plan_sessions(spec), std::invalid_argument) << bad;
+    // An infinite span at an infinite position would start at inf - inf.
+    spec.tags[0].position_m = bad;
+    EXPECT_THROW(rc::plan_sessions(spec), std::invalid_argument) << bad;
+    spec = small_spec();
+    spec.vehicles = {rc::Vehicle{.id = 0, .spawn_s = bad}};
+    EXPECT_THROW(rc::plan_sessions(spec), std::invalid_argument) << bad;
+    spec = small_spec();
+    spec.vehicles = {rc::Vehicle{.id = 0, .speed_mps = bad}};
+    EXPECT_THROW(rc::plan_sessions(spec), std::invalid_argument) << bad;
+  }
+  {
+    // A crawl so slow that the pass would take ~1e300 s.
+    rc::CorridorSpec spec = small_spec();
+    spec.vehicles = {rc::Vehicle{.id = 0, .speed_mps = 1e-300}};
     EXPECT_THROW(rc::plan_sessions(spec), std::invalid_argument);
   }
   {
@@ -214,7 +277,6 @@ TEST(Corridor, RejectsInvalidSpecs) {
   }
   // The engine runs the pipeline's validate() on its config, radar
   // array included, before it plans any session.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
   for (const double fov : {nan, 0.0, -0.1}) {
     rc::CorridorSpec spec = small_spec();
     spec.config.array.fov_half_angle_rad = fov;

@@ -50,12 +50,24 @@ TEST(ThreadPool, EmptyRangeRunsNothing) {
 }
 
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
-  re::ThreadPool pool(4);
-  const std::size_t n = 1000;
-  std::vector<std::atomic<int>> hits(n);
-  pool.parallel_for(0, n, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  // Guided claims shrink as the range drains; every (range, pool,
+  // grain) shape must still cover each index once and join only after
+  // the last iteration.
+  for (const std::size_t executors : {2u, 3u, 8u}) {
+    re::ThreadPool pool(executors);
+    for (const std::size_t n : {1u, 2u, 3u, 7u, 64u, 1000u}) {
+      for (const std::size_t grain : {1u, 4u, 64u}) {
+        std::vector<std::atomic<int>> hits(n);
+        pool.parallel_for(5, 5 + n,
+                          [&](std::size_t i) { hits[i - 5].fetch_add(1); },
+                          grain);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(hits[i].load(), 1)
+              << "index " << i << " of " << n << ", " << executors
+              << " executors, grain " << grain;
+        }
+      }
+    }
   }
 }
 

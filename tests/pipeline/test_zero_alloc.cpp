@@ -1,9 +1,10 @@
 // Zero-allocation acceptance for the interrogation frame loop: after a
 // warmup run, a read's per-frame processing must neither grow the
 // per-thread arenas (exec.arena.grows flat) nor allocate beyond a
-// constant per-frame sliver (the driver's block of packet buffers and,
+// constant per-frame sliver (push_all's block of packet buffers and,
 // in full mode, the retained profiles and detections), as measured by
-// the ros::obs allocation hook.
+// the ros::obs allocation hook. The frame-by-frame push_frame loop
+// reuses one packet per thread and gets no per-frame sliver at all.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -123,8 +124,8 @@ TEST(ZeroAlloc, DecodeDriveFrameLoopAllocsAreOutputOnly) {
       gauge("decode_drive.frame_loop.allocs_per_frame");
 
   // Spans copy no names, so the steady-state allocations are push_all's
-  // block of packets (one outer profile vector + one per Rx channel = 5
-  // per slot for the IWR1443, filled once per read) plus a constant
+  // block of packets (one outer profile vector + one per Rx channel = 9
+  // per slot for the IWR1443's 8 Rx, filled once per read) plus a constant
   // sliver of harness noise: well under one per frame on long drives.
   // Anything that scales with samples-per-frame or returns-per-frame
   // would blow well past this.
@@ -132,6 +133,33 @@ TEST(ZeroAlloc, DecodeDriveFrameLoopAllocsAreOutputOnly) {
       << "decode_drive allocates per frame beyond its output profile";
   EXPECT_LE(steady_allocs, warm_allocs + 1.0)
       << "steady state should never allocate more than warmup";
+}
+
+TEST(ZeroAlloc, PushFrameLoopAllocsAreOutputOnly) {
+  if (!ros::obs::alloc_counting_enabled()) {
+    GTEST_SKIP() << "ROS_OBS_COUNT_ALLOCS is off";
+  }
+  // The corridor's per-frame path: push_frame synthesizes into the
+  // calling thread's packet, so once one read has warmed that packet a
+  // decode-mode frame loop allocates nothing per frame. A fresh packet
+  // per frame would cost one outer profile vector plus one per Rx
+  // channel (9 on the default 8-Rx array).
+  const auto world = make_world();
+  const auto drive = short_drive();
+  rp::InterrogatorConfig cfg;
+  cfg.frame_stride = 10;
+  const auto read = [&] {
+    rp::StreamingInterrogator engine(cfg, world, drive, rs::Vec2{0.0, 0.0});
+    const auto before = ros::obs::thread_alloc_counters();
+    for (std::size_t i = 0; i < engine.n_frames(); ++i) engine.push_frame(i);
+    const auto after = ros::obs::thread_alloc_counters();
+    (void)engine.finalize_decode();
+    return static_cast<double>(after.allocs - before.allocs) /
+           static_cast<double>(engine.n_frames());
+  };
+  (void)read();
+  EXPECT_LT(read(), 1.0)
+      << "a warm push_frame loop allocates per frame";
 }
 
 TEST(ZeroAlloc, InterrogateFrameLoopAllocsAreBounded) {
