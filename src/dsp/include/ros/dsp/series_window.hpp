@@ -1,39 +1,23 @@
-// Window-scoped decoder-series state (ros::dsp).
+// Decoder-series state (ros::dsp).
 //
 // The streaming pipeline accumulates the spatial decoder's input — the
-// (u, linear RSS) sample series — one frame at a time. This container
-// owns that state: append-only in the common case, with optional
-// front-eviction for bounded sliding windows, while always exposing the
+// (u, linear RSS) sample series inside the decode FoV — one frame at a
+// time. This container owns that state: append-only, exposing the
 // contiguous vectors the spectrum decoder consumes (no copy at decode
 // time).
-//
-// Front eviction is amortized O(1): trimmed entries are first tracked
-// by an offset and physically compacted only when they exceed half the
-// buffer, so a long-running stream neither reallocates per frame nor
-// pays O(n) per eviction.
 #pragma once
 
 #include <cstddef>
 #include <span>
 #include <vector>
 
-#include "ros/common/expect.hpp"
-
 namespace ros::dsp {
 
 class SeriesWindow {
  public:
-  /// `max_samples` = 0 keeps every sample (unbounded; the
-  /// batch-equivalent configuration). Otherwise the window holds at
-  /// most `max_samples` newest samples.
-  explicit SeriesWindow(std::size_t max_samples = 0)
-      : max_samples_(max_samples) {}
-
   void push(double u, double rss_linear) {
     u_.push_back(u);
     rss_.push_back(rss_linear);
-    if (max_samples_ > 0 && size() > max_samples_) pop_front();
-    maybe_compact();
   }
 
   /// Pre-size the backing storage (a streaming engine that knows its
@@ -44,46 +28,20 @@ class SeriesWindow {
     rss_.reserve(n);
   }
 
-  std::size_t size() const { return u_.size() - offset_; }
-  bool empty() const { return size() == 0; }
-  std::size_t max_samples() const { return max_samples_; }
+  std::size_t size() const { return u_.size(); }
+  bool empty() const { return u_.empty(); }
 
-  /// Contiguous decoder inputs, oldest surviving sample first. Views
-  /// into the window's storage: valid until the next push/clear.
-  std::span<const double> u() const {
-    return {u_.data() + offset_, size()};
-  }
-  std::span<const double> rss_linear() const {
-    return {rss_.data() + offset_, size()};
-  }
-
-  double back_u() const {
-    ROS_EXPECT(!empty(), "series window is empty");
-    return u_.back();
-  }
+  /// Contiguous decoder inputs, oldest sample first. Views into the
+  /// series' storage: valid until the next push/clear.
+  std::span<const double> u() const { return u_; }
+  std::span<const double> rss_linear() const { return rss_; }
 
   void clear() {
     u_.clear();
     rss_.clear();
-    offset_ = 0;
   }
 
  private:
-  void pop_front() {
-    ROS_EXPECT(!empty(), "series window is empty");
-    ++offset_;
-  }
-
-  void maybe_compact() {
-    if (offset_ == 0 || offset_ * 2 < u_.size()) return;
-    u_.erase(u_.begin(), u_.begin() + static_cast<std::ptrdiff_t>(offset_));
-    rss_.erase(rss_.begin(),
-               rss_.begin() + static_cast<std::ptrdiff_t>(offset_));
-    offset_ = 0;
-  }
-
-  std::size_t max_samples_;
-  std::size_t offset_ = 0;  ///< trimmed-but-not-compacted front entries
   std::vector<double> u_;
   std::vector<double> rss_;
 };

@@ -14,7 +14,7 @@
 //     should_sample() once per frame (1 in `sample_period()`, default
 //     8) and brackets each sampled frame with frame_begin / rng_seed /
 //     frame_end. Other discrete events (queue depths, arena high-water
-//     marks, early emits) are recorded unsampled.
+//     marks) are recorded unsampled.
 //   * Names are interned into a bounded table (kMaxNames); the table
 //     overflowing maps further names onto id 0 ("!overflow") rather
 //     than growing.
@@ -43,7 +43,6 @@ enum class FlightKind : std::uint8_t {
   rng_seed = 4,     ///< value = derived RNG stream seed
   queue_depth = 5,  ///< value = queue length at t_us
   arena_hwm = 6,    ///< value = arena high-water bytes
-  stream_emit = 8,  ///< value = frame index an early readout fired at
 };
 
 const char* to_string(FlightKind kind);

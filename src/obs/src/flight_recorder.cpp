@@ -44,7 +44,6 @@ const char* to_string(FlightKind kind) {
     case FlightKind::rng_seed: return "rng_seed";
     case FlightKind::queue_depth: return "queue_depth";
     case FlightKind::arena_hwm: return "arena_hwm";
-    case FlightKind::stream_emit: return "stream_emit";
   }
   return "unknown";
 }

@@ -23,15 +23,6 @@ struct Cluster {
 std::vector<Cluster> extract_clusters(const PointCloud& cloud,
                                       const DbscanOptions& opts);
 
-/// Compute cluster features from precomputed DBSCAN labels (one per
-/// cloud point, -1 = noise). The streaming engine maintains labels
-/// incrementally and feeds them here; with labels ==
-/// dbscan(cloud.positions(), opts), this matches extract_clusters bit
-/// for bit. (Named distinctly so brace-init DbscanOptions call sites
-/// stay unambiguous.)
-std::vector<Cluster> extract_clusters_labeled(
-    const PointCloud& cloud, const std::vector<int>& labels);
-
 /// Drop clusters below a density / point-count floor (the paper keeps
 /// only dense clusters for RCS measurement).
 std::vector<Cluster> filter_dense(std::vector<Cluster> clusters,

@@ -9,11 +9,12 @@
 //                    on (config, scene, pose_i, i) via its
 //                    counter-derived RNG stream.
 //   consume(pkt)   — the sequential state machine: in-order multi-frame
-//                    merge, incremental tracking estimate, incremental
-//                    grid-DBSCAN insertion (+ sliding-window eviction),
-//                    per-frame spotlight RSS sampling, and the
-//                    early-emit decode gate.
-//   finalize_*()   — the terminal stage producing the read's result.
+//                    merge, incremental tracking estimate, and per-frame
+//                    spotlight RSS sampling.
+//   finalize_*()   — the terminal stage producing the read's result:
+//                    full mode clusters the merged cloud once with
+//                    DBSCAN, then discriminates and decodes (paper
+//                    Sec. 6); decode mode decodes the sampled series.
 //
 // Timing: every layer (ros/pipeline/stages.hpp `Layer`) runs in one
 // ScopedTimer span named after it. A frame's packet carries the times
@@ -28,64 +29,33 @@
 //
 // Reference contract (enforced bit-for-bit, no epsilon, against the
 // serial layer-call oracle in tests/support/pipeline_oracle.hpp by
-// tests/integration/test_streaming_equivalence):
+// tests/integration/test_streaming_equivalence): finalize_decode() and
+// finalize_report() equal the oracle for every thread count, SIMD
+// backend and frame-delivery chunking.
 //
-//   * decode mode (tag position known — the fleet-scale service mode):
-//     finalize_decode() equals the oracle for EVERY window size, thread
-//     count, SIMD backend and frame-delivery chunking, because the
-//     spotlight samples are taken per frame and never need the profile
-//     again.
-//   * full mode: finalize_report() equals the oracle whenever the
-//     window covers the whole drive (window_frames == 0, i.e.
-//     unbounded, or >= n_frames). A bounded window lawfully degrades:
-//     the report covers only the surviving window (DESIGN.md §10), and
-//     the incremental clustering still matches batch DBSCAN of exactly
-//     those surviving points — that invariant holds for every window
-//     size.
-//
-// Early emit (decode mode): with FoV truncation active and a
-// jitter-free tracking model, u = sin(view angle) is strictly monotone
-// along a straight drive, so once the latest sample leaves the FoV the
-// decoder series is provably final — the engine decodes immediately and
-// `emitted_decode()` equals the final decode bit for bit (the
-// "no-retraction" law). finalize_decode() re-decodes the final series
-// and counts any disagreement in `pipeline.stream.emit_mismatch`
-// (asserted zero in tests).
-//
-// Memory: decode mode retains O(in-FoV samples) — bounded by geometry,
-// not drive length — plus O(1) tracking state; set
-// `retain_samples = false` to drop the O(n_frames) output sample list
-// for soak runs. Full mode retains the sliding window (profiles +
-// cloud points + DBSCAN index) — O(window) when bounded.
+// Memory: decode mode retains O(in-FoV samples) plus O(1) tracking
+// state, because the spotlight samples are taken per frame and never
+// need the profile again; set `retain_samples = false` to drop the
+// O(n_frames) output sample list for soak runs. Full mode retains every
+// frame's two range profiles, pose estimate and cloud points for the
+// whole read, since classification samples the profiles at the clusters
+// the whole pass reveals.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "ros/dsp/series_window.hpp"
 #include "ros/obs/timer.hpp"
-#include "ros/pipeline/incremental_dbscan.hpp"
 #include "ros/pipeline/interrogator.hpp"
 #include "ros/pipeline/provenance.hpp"
 #include "ros/pipeline/stages.hpp"
 #include "ros/scene/tracking.hpp"
-#include "ros/tag/codec.hpp"
 
 namespace ros::pipeline {
 
 struct StreamingOptions {
-  /// Sliding-window length in frames for full mode: profiles, cloud
-  /// points, and DBSCAN membership older than this are evicted. 0 keeps
-  /// everything (the Interrogator::run configuration). Ignored in decode
-  /// mode, which never retains profiles.
-  std::size_t window_frames = 0;
-  /// Decode mode: emit the readout as soon as it is provably final
-  /// (FoV truncation active, jitter-free tracking, observed-monotone u
-  /// past the FoV edge, decoder preconditions met).
-  bool early_emit = false;
   /// Keep the per-frame RssSample list in the DecodeDriveResult. false
   /// drops it for bounded-memory soak runs; the decode itself is
   /// unaffected.
@@ -127,14 +97,11 @@ class StreamingInterrogator {
   /// Full mode: detection, clustering, discrimination, and decode.
   StreamingInterrogator(const InterrogatorConfig& config,
                         const ros::scene::Scene& scene,
-                        const ros::scene::StraightDrive& drive,
-                        StreamingOptions opts = {});
+                        const ros::scene::StraightDrive& drive);
   StreamingInterrogator(const InterrogatorConfig&, ros::scene::Scene&&,
-                        const ros::scene::StraightDrive&,
-                        StreamingOptions = {}) = delete;
+                        const ros::scene::StraightDrive&) = delete;
   StreamingInterrogator(const InterrogatorConfig&, const ros::scene::Scene&,
-                        ros::scene::StraightDrive&&,
-                        StreamingOptions = {}) = delete;
+                        ros::scene::StraightDrive&&) = delete;
 
   ~StreamingInterrogator();
   StreamingInterrogator(const StreamingInterrogator&) = delete;
@@ -159,7 +126,6 @@ class StreamingInterrogator {
               StreamingOptions = {}) = delete;
 
   bool decode_mode() const { return decode_mode_; }
-  const StreamingOptions& options() const { return opts_; }
   const InterrogatorConfig& config() const { return config_; }
   /// Frames the drive yields at the configured rate — the stream length.
   std::size_t n_frames() const { return n_frames_; }
@@ -183,12 +149,6 @@ class StreamingInterrogator {
   /// kBlockFrames across the exec pool, consuming each block in order.
   void push_all();
 
-  /// Decode mode: true once the early-emit gate fired. The emitted
-  /// decode is final — finalize_decode() returns the same bits.
-  bool has_emitted() const { return emitted_; }
-  std::size_t emit_frame() const;
-  const ros::tag::DecodeResult& emitted_decode() const;
-
   /// Terminal stages. Call exactly once, after the last consume().
   DecodeDriveResult finalize_decode();
   InterrogationReport finalize_report();
@@ -197,8 +157,6 @@ class StreamingInterrogator {
   void begin_read();
   /// The read's layer sums as PipelineTelemetry stages, in layer order.
   void book_stages(PipelineTelemetry& tel) const;
-  void evict_before(std::size_t min_live_frame);
-  void maybe_early_emit(std::size_t frame_index);
 
   InterrogatorConfig config_;  ///< own copy: the engine may outlive the caller's
   const ros::scene::Scene* scene_;
@@ -223,28 +181,13 @@ class StreamingInterrogator {
   double sum_rss_w_ = 0.0;           ///< running mean accumulator
   std::size_t n_samples_ = 0;
   ros::dsp::SeriesWindow series_;    ///< decoder input (in-FoV samples)
-  bool emit_eligible_ = false;       ///< provability preconditions hold
-  bool mono_inc_ok_ = true;          ///< observed u nondecreasing so far
-  bool mono_dec_ok_ = true;          ///< observed u nonincreasing so far
-  bool saw_inc_ = false;             ///< a strict increase was observed
-  bool saw_dec_ = false;             ///< a strict decrease was observed
-  double prev_u_ = 0.0;
-  bool have_prev_u_ = false;
-  bool emitted_ = false;
-  std::size_t emit_frame_ = 0;
-  ros::tag::DecodeResult emitted_decode_;
   RangeProfilesCapture range_capture_;  ///< built only while probing
 
-  // --- full-mode sliding-window state --------------------------------
-  std::deque<ros::radar::RangeProfile> win_profiles_normal_;
-  std::deque<ros::radar::RangeProfile> win_profiles_switched_;
-  std::deque<ros::scene::RadarPose> win_estimated_;
-  std::deque<CloudPoint> win_points_;
-  std::deque<std::size_t> win_frame_point_counts_;
-  std::size_t win_first_frame_ = 0;   ///< oldest surviving frame index
-  std::size_t evicted_points_ = 0;    ///< DBSCAN ids below this are dead
-  IncrementalDbscan dbscan_;
-  PointCloud scratch_cloud_;          ///< per-frame accumulate target
+  // --- full-mode state -------------------------------------------------
+  std::vector<ros::radar::RangeProfile> profiles_normal_;
+  std::vector<ros::radar::RangeProfile> profiles_switched_;
+  std::vector<ros::scene::RadarPose> estimated_;
+  PointCloud cloud_;
 
   // --- telemetry -------------------------------------------------------
   std::optional<ros::obs::ScopedTimer> run_timer_;  ///< whole-read span

@@ -13,12 +13,7 @@ using ros::scene::Vec2;
 
 std::vector<Cluster> extract_clusters(const PointCloud& cloud,
                                       const DbscanOptions& opts) {
-  const auto positions = cloud.positions();
-  return extract_clusters_labeled(cloud, dbscan(positions, opts));
-}
-
-std::vector<Cluster> extract_clusters_labeled(
-    const PointCloud& cloud, const std::vector<int>& labels) {
+  const std::vector<int> labels = dbscan(cloud.positions(), opts);
   const int n_clusters = cluster_count(labels);
 
   std::vector<Cluster> clusters(static_cast<std::size_t>(n_clusters));

@@ -1,7 +1,6 @@
 #include "ros/pipeline/streaming.hpp"
 
 #include <cmath>
-#include <iterator>
 #include <utility>
 
 #include "ros/common/expect.hpp"
@@ -17,7 +16,6 @@
 namespace ros::pipeline {
 
 using namespace ros::common;
-using ros::radar::RangeProfile;
 using ros::scene::RadarPose;
 using ros::scene::Vec2;
 
@@ -84,20 +82,12 @@ StreamingInterrogator::StreamingInterrogator(
       stage_(config_, scene),
       rate_hz_(config_.chirp.frame_rate_hz /
                static_cast<double>(config_.frame_stride)),
-      tracker_(config_.tracking),
-      dbscan_(config_.dbscan) {
+      tracker_(config_.tracking) {
   validate(config_);
   obs_session_begin();
   n_frames_ = drive.frame_count(rate_hz_);
   road_ = road_of(drive);
   max_abs_u_ = decode_max_abs_u(config_);
-  // Early emit is gated on provability: with FoV truncation active and
-  // a jitter-free tracking estimate, u is exactly monotone along the
-  // straight drive, so a sample past the FoV edge makes the series
-  // final. With jitter the estimate can wander back into the FoV, so
-  // the gate stays closed and the engine decodes only at finalize.
-  emit_eligible_ = opts_.early_emit && max_abs_u_ < 1.0 &&
-                   config_.tracking.jitter_std_m == 0.0;
   if (opts_.retain_samples) samples_.reserve(n_frames_);
   series_.reserve(n_frames_);
   begin_read();
@@ -105,17 +95,15 @@ StreamingInterrogator::StreamingInterrogator(
 
 StreamingInterrogator::StreamingInterrogator(
     const InterrogatorConfig& config, const ros::scene::Scene& scene,
-    const ros::scene::StraightDrive& drive, StreamingOptions opts)
+    const ros::scene::StraightDrive& drive)
     : config_(config),
       scene_(&scene),
       drive_(&drive),
-      opts_(opts),
       decode_mode_(false),
       stage_(config_, scene),
       rate_hz_(config_.chirp.frame_rate_hz /
                static_cast<double>(config_.frame_stride)),
-      tracker_(config_.tracking),
-      dbscan_(config_.dbscan) {
+      tracker_(config_.tracking) {
   validate(config_);
   obs_session_begin();
   n_frames_ = drive.frame_count(rate_hz_);
@@ -144,9 +132,7 @@ void StreamingInterrogator::begin_read() {
   probe::annotate("frame_stride", static_cast<double>(config_.frame_stride));
   probe::annotate("decode_fov_rad", config_.decode_fov_rad);
   probe::annotate("extra_noise_dbm", config_.extra_noise_dbm);
-  probe::annotate("window_frames", static_cast<double>(opts_.window_frames));
   if (decode_mode_) {
-    probe::annotate("early_emit", opts_.early_emit ? 1.0 : 0.0);
     probe::annotate("tag_x", tag_position_.x);
     probe::annotate("tag_y", tag_position_.y);
     range_capture_.begin(n_frames_, config_.noise_seed);
@@ -178,8 +164,6 @@ void StreamingInterrogator::rebind(const InterrogatorConfig& config,
   n_frames_ = drive.frame_count(rate_hz_);
   road_ = road_of(drive);
   max_abs_u_ = decode_max_abs_u(config_);
-  emit_eligible_ = opts_.early_emit && max_abs_u_ < 1.0 &&
-                   config_.tracking.jitter_std_m == 0.0;
   tracker_ = ros::scene::TrackingEstimator(config_.tracking);
   consumed_ = 0;
   finalized_ = false;
@@ -189,14 +173,6 @@ void StreamingInterrogator::rebind(const InterrogatorConfig& config,
   n_samples_ = 0;
   series_.clear();
   series_.reserve(n_frames_);
-  mono_inc_ok_ = true;
-  mono_dec_ok_ = true;
-  saw_inc_ = false;
-  saw_dec_ = false;
-  prev_u_ = 0.0;
-  have_prev_u_ = false;
-  emitted_ = false;
-  emit_frame_ = 0;
   begin_read();
 }
 
@@ -255,37 +231,15 @@ void StreamingInterrogator::consume(FramePacket&& packet) {
       if (!(std::abs(s.u) > max_abs_u_) && !(s.rss_dbm < kMinRssDbm)) {
         series_.push(s.u, s.rss_w);
       }
-      if (have_prev_u_) {
-        if (s.u < prev_u_) {
-          mono_inc_ok_ = false;
-          saw_dec_ = true;
-        }
-        if (s.u > prev_u_) {
-          mono_dec_ok_ = false;
-          saw_inc_ = true;
-        }
-      }
-      prev_u_ = s.u;
-      have_prev_u_ = true;
     }
     ms[Layer::sample] = t_sample.stop();
-    if (sampled) maybe_early_emit(i);
   } else {
     auto t_merge = layer_span(Layer::merge, layer_hist_);
-    win_estimated_.push_back(est);
-    scratch_cloud_.points.clear();
-    accumulate(scratch_cloud_, packet.full.det_normal, est, i);
-    accumulate(scratch_cloud_, packet.full.det_switched, est, i);
-    for (const CloudPoint& p : scratch_cloud_.points) {
-      dbscan_.insert(p.world);
-      win_points_.push_back(p);
-    }
-    win_frame_point_counts_.push_back(scratch_cloud_.points.size());
-    win_profiles_normal_.push_back(std::move(packet.full.normal));
-    win_profiles_switched_.push_back(std::move(packet.full.switched));
-    if (opts_.window_frames > 0 && i + 1 >= opts_.window_frames) {
-      evict_before(i + 1 - opts_.window_frames);
-    }
+    estimated_.push_back(est);
+    accumulate(cloud_, packet.full.det_normal, est, i);
+    accumulate(cloud_, packet.full.det_switched, est, i);
+    profiles_normal_.push_back(std::move(packet.full.normal));
+    profiles_switched_.push_back(std::move(packet.full.switched));
     ms[Layer::merge] = t_merge.stop();
   }
   // The frame stage's spans (returns .. detect) observe no histogram;
@@ -308,28 +262,11 @@ void StreamingInterrogator::book_stages(PipelineTelemetry& tel) const {
   }
 }
 
-void StreamingInterrogator::evict_before(std::size_t min_live_frame) {
-  while (win_first_frame_ < min_live_frame &&
-         !win_frame_point_counts_.empty()) {
-    const std::size_t n_points = win_frame_point_counts_.front();
-    win_frame_point_counts_.pop_front();
-    for (std::size_t k = 0; k < n_points; ++k) {
-      dbscan_.evict(static_cast<int>(evicted_points_));
-      ++evicted_points_;
-      win_points_.pop_front();
-    }
-    win_profiles_normal_.pop_front();
-    win_profiles_switched_.pop_front();
-    win_estimated_.pop_front();
-    ++win_first_frame_;
-  }
-}
-
 void StreamingInterrogator::push_frame(std::size_t i) {
   // One packet per thread, shared by every engine that thread drives:
   // decode mode's consume() only reads the profile, so its buffers are
   // reused warm from frame to frame. Full mode moves the profiles into
-  // the window, and the next frame allocates them afresh.
+  // the read's retained lists, and the next frame allocates them afresh.
   thread_local FramePacket packet;
   synthesize_into(i, packet);
   consume(std::move(packet));
@@ -372,74 +309,6 @@ void StreamingInterrogator::push_all() {
   record_frame_loop_allocs(names.allocs_per_frame, allocs_before,
                            n_frames_ - first);
   record_runtime_introspection();
-}
-
-void StreamingInterrogator::maybe_early_emit(std::size_t frame_index) {
-  if (!emit_eligible_ || emitted_ || !have_prev_u_) return;
-  // The series is provably final once the latest sample has left the
-  // FoV on a monotone pass — in either drive direction. The direction
-  // must be ESTABLISHED (a strict step observed), not just unfalsified:
-  // with one sample both flags are vacuously true, and a pass that
-  // merely STARTS outside the FoV would otherwise look finished.
-  const bool past_edge =
-      (mono_inc_ok_ && saw_inc_ && prev_u_ > max_abs_u_) ||
-      (mono_dec_ok_ && saw_dec_ && prev_u_ < -max_abs_u_);
-  if (!past_edge) return;
-  // The latest sample left the FoV on a monotone pass: every future
-  // sample is filtered out of the series, which is therefore final.
-  auto t_decode = layer_span(Layer::decode, layer_hist_);
-  const ros::tag::SpatialDecoder decoder(config_.decoder);
-  if (series_.empty() || !decoder.can_decode(series_.u())) {
-    // The aperture will never suffice (the series cannot grow again):
-    // stop re-checking, but leave emitted_ unset so finalize reports
-    // the no-read through the ordinary path.
-    emit_eligible_ = false;
-    layer_ms_[Layer::decode] += t_decode.stop();
-    return;
-  }
-  emitted_decode_ = decoder.decode(series_.u(), series_.rss_linear());
-  layer_ms_[Layer::decode] += t_decode.stop();
-  emitted_ = true;
-  emit_frame_ = frame_index;
-  auto& reg = ros::obs::MetricsRegistry::global();
-  reg.counter("pipeline.stream.early_emits").inc();
-  // Emit latency: how much of the pass the readout needed.
-  reg.histogram("stream.time_to_first_read.frames")
-      .observe(static_cast<double>(frame_index + 1));
-  reg.gauge("pipeline.stream.emit_frame")
-      .set(static_cast<double>(frame_index));
-  auto& flight = ros::obs::FlightRecorder::global();
-  if (flight.enabled()) {
-    static const std::uint32_t emit_id = flight.intern("stream.emit");
-    flight.record(ros::obs::FlightKind::stream_emit, emit_id,
-                  frame_index);
-  }
-  namespace probe = ros::obs::probe;
-  if (probe::capturing()) {
-    probe::annotate("emit_frame", static_cast<double>(frame_index));
-    probe::funnel("early_emit", true,
-                  "readout final at frame " +
-                      std::to_string(frame_index) + " of " +
-                      std::to_string(n_frames_));
-    probe::stage_artifact(
-        "early_emit.bit_margins",
-        bit_margins_json(emitted_decode_, config_.decoder));
-  }
-  ROS_LOG_INFO(kLog, "decode emitted early",
-               ros::obs::kv("frame", frame_index),
-               ros::obs::kv("n_frames", n_frames_),
-               ros::obs::kv("bits", emitted_decode_.bits.size()));
-}
-
-std::size_t StreamingInterrogator::emit_frame() const {
-  ROS_EXPECT(emitted_, "no readout was emitted");
-  return emit_frame_;
-}
-
-const ros::tag::DecodeResult& StreamingInterrogator::emitted_decode()
-    const {
-  ROS_EXPECT(emitted_, "no readout was emitted");
-  return emitted_decode_;
 }
 
 DecodeDriveResult StreamingInterrogator::finalize_decode() {
@@ -499,22 +368,6 @@ DecodeDriveResult StreamingInterrogator::finalize_decode() {
     layer_ms_[Layer::decode] += t_decode.stop();
   }
 
-  // No-retraction law: an early-emitted readout must equal the final
-  // decode bit for bit. Divergence is a contract violation — count it
-  // loudly rather than papering over it.
-  if (emitted_) {
-    const bool match = emitted_decode_.bits == out.decode.bits &&
-                       emitted_decode_.slot_amplitudes ==
-                           out.decode.slot_amplitudes;
-    if (!match) {
-      reg.counter("pipeline.stream.emit_mismatch").inc();
-      ROS_LOG_ERROR(kLog,
-                    "early-emitted readout diverged from the final "
-                    "decode (no-retraction violation)",
-                    ros::obs::kv("emit_frame", emit_frame_));
-    }
-  }
-
   out.mean_rss_dbm =
       watt_to_dbm(sum_rss_w_ / std::max<std::size_t>(1, n_samples_));
 
@@ -548,7 +401,6 @@ DecodeDriveResult StreamingInterrogator::finalize_decode() {
   ROS_LOG_DEBUG(kLog, "decode drive finished",
                 ros::obs::kv("frames", consumed_),
                 ros::obs::kv("samples", n_samples_),
-                ros::obs::kv("early_emitted", emitted_),
                 ros::obs::kv("mean_rss_dbm", out.mean_rss_dbm),
                 ros::obs::kv("total_ms", tel.total_ms));
   return out;
@@ -564,23 +416,9 @@ InterrogationReport StreamingInterrogator::finalize_report() {
   report.n_frames = consumed_;
   tel.n_frames = consumed_;
 
-  // The surviving window, in insertion order: for an unbounded window
-  // this is every point the drive produced.
-  report.cloud.points.assign(win_points_.begin(), win_points_.end());
+  // The stream is over: the report takes the merged cloud.
+  report.cloud = std::move(cloud_);
   tel.n_points = report.cloud.points.size();
-
-  // Contiguous window views for the classify/decode stage (the deques
-  // release their storage here; the stream is over).
-  const std::vector<RangeProfile> profiles_normal(
-      std::make_move_iterator(win_profiles_normal_.begin()),
-      std::make_move_iterator(win_profiles_normal_.end()));
-  const std::vector<RangeProfile> profiles_switched(
-      std::make_move_iterator(win_profiles_switched_.begin()),
-      std::make_move_iterator(win_profiles_switched_.end()));
-  const std::vector<RadarPose> estimated(win_estimated_.begin(),
-                                         win_estimated_.end());
-  win_profiles_normal_.clear();
-  win_profiles_switched_.clear();
   if (probe::capturing()) {
     probe::funnel("synthesized", consumed_ > 0,
                   std::to_string(consumed_) + " frames");
@@ -589,17 +427,17 @@ InterrogationReport StreamingInterrogator::finalize_report() {
                       " point-cloud points");
     probe::stage_artifact(
         "range_fft_normal",
-        range_profiles_json(profiles_normal, config_.noise_seed));
+        range_profiles_json(profiles_normal_, config_.noise_seed));
     probe::stage_artifact(
         "range_fft_switched",
-        range_profiles_json(profiles_switched, config_.noise_seed));
+        range_profiles_json(profiles_switched_, config_.noise_seed));
     probe::stage_artifact("pointcloud", pointcloud_json(report.cloud));
   }
 
   {
     auto t_cluster = layer_span(Layer::cluster, layer_hist_);
     report.clusters = filter_dense(
-        extract_clusters_labeled(report.cloud, dbscan_.labels()),
+        extract_clusters(report.cloud, config_.dbscan),
         config_.tag_detector.min_density,
         config_.tag_detector.min_points);
     layer_ms_[Layer::cluster] += t_cluster.stop();
@@ -616,7 +454,7 @@ InterrogationReport StreamingInterrogator::finalize_report() {
   }
 
   const bool aperture_any = classify_and_decode_clusters(
-      config_, profiles_normal, profiles_switched, estimated, road_,
+      config_, profiles_normal_, profiles_switched_, estimated_, road_,
       max_abs_u_, layer_hist_, report, layer_ms_);
   tel.n_candidates = report.candidates.size();
   tel.n_tags = report.tags.size();

@@ -175,11 +175,8 @@ tk::OracleVerdict check_weather_monotonicity(const tk::Scenario& s) {
 /// Pipeline differential oracle: decode_drive (the parallel block
 /// driver) and a frame-by-frame engine must both reproduce the serial
 /// layer-call reference (tests/support/pipeline_oracle.hpp)
-/// BIT-identically on every scenario the fuzzer can construct — any
-/// window size, including the degenerate few-frame passes case 13 of
-/// mutate() generates. The window rotates with the scenario hash so the
-/// sweep covers unbounded, single-frame, and near-drive-length windows
-/// over a session.
+/// BIT-identically on every scenario the fuzzer can construct, including
+/// the degenerate few-frame passes case 13 of mutate() generates.
 tk::OracleVerdict check_streaming_equivalence(const tk::Scenario& s) {
   const auto scene = s.make_scene(&stackup());
   const auto drive = s.make_drive();
@@ -193,21 +190,13 @@ tk::OracleVerdict check_streaming_equivalence(const tk::Scenario& s) {
     return tk::OracleVerdict::fail("pipeline equivalence: decode_drive " +
                                    err);
   }
-  const std::uint64_t h =
-      ros::common::splitmix64(std::hash<std::string>{}(s.encode()));
-  ros::pipeline::StreamingOptions opts;
-  const std::size_t n = std::max<std::size_t>(s.n_frames(), 1);
-  const std::size_t windows[] = {0, 1, n > 1 ? n - 1 : 1, n + 7};
-  opts.window_frames = windows[h % 4];
   ros::pipeline::StreamingInterrogator engine(
-      config, scene, drive, ros::scene::Vec2{0.0, 0.0}, opts);
+      config, scene, drive, ros::scene::Vec2{0.0, 0.0});
   for (std::size_t i = 0; i < engine.n_frames(); ++i) engine.push_frame(i);
   err = ros::teststream::diff_decode_drive(engine.finalize_decode(),
                                            reference);
   if (!err.empty()) {
-    return tk::OracleVerdict::fail(
-        "pipeline equivalence: engine " + err + " (window " +
-        std::to_string(opts.window_frames) + ")");
+    return tk::OracleVerdict::fail("pipeline equivalence: engine " + err);
   }
   return tk::OracleVerdict::pass();
 }

@@ -155,10 +155,12 @@ TEST(BenchRun, PerfCounterFallbackIsGraceful) {
   opts.reps = 2;
   const auto t = run_timed([] {
     volatile int x = 0;
-    for (int i = 0; i < 1000; ++i) x += i;
+    for (int i = 0; i < 1000; ++i) x = x + i;
   }, opts);
   EXPECT_EQ(t.wall_ms.n, 2u);
-  if (!t.perf.valid) EXPECT_FALSE(t.perf_error.empty());
+  if (!t.perf.valid) {
+    EXPECT_FALSE(t.perf_error.empty());
+  }
 }
 
 TEST(Scorecard, RecordOverwriteAndFailures) {

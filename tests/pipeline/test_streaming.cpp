@@ -1,8 +1,7 @@
 // StreamingInterrogator behavior tests: equality with the serial oracle
-// on the fixture scenes, prefix consistency, the early-emit laws (emit
-// equals the reference decode; no retraction), degenerate frame counts,
-// the parallel driver at several thread counts, bounded-window
-// clustering, and the probe-armed capture paths. The broad randomized
+// on the fixture scenes, prefix consistency, degenerate frame counts,
+// the parallel driver at several thread counts, and the probe-armed
+// capture path. The broad randomized
 // metamorphic sweep lives in
 // tests/integration/test_streaming_equivalence.cpp; these are the
 // targeted, readable cases.
@@ -20,9 +19,7 @@
 #include "../support/stream_equality.hpp"
 #include "ros/common/angles.hpp"
 #include "ros/exec/thread_pool.hpp"
-#include "ros/obs/metrics.hpp"
 #include "ros/obs/probe.hpp"
-#include "ros/pipeline/features.hpp"
 #include "ros/pipeline/provenance.hpp"
 #include "ros/pipeline/streaming.hpp"
 
@@ -31,7 +28,6 @@ namespace rs = ros::scene;
 namespace rt = ros::tag;
 namespace probe = ros::obs::probe;
 namespace oracle = ros::testoracle;
-using ros::teststream::diff_cluster;
 using ros::teststream::diff_decode;
 using ros::teststream::diff_decode_drive;
 using ros::teststream::diff_report;
@@ -63,10 +59,6 @@ rs::Scene make_world() {
                 {{0.0, 0.0}, {0.0, 1.0}, 0.0});
   world.add_clutter(rs::tripod_params({1.3, 0.4}));
   return world;
-}
-
-std::uint64_t counter(const char* name) {
-  return ros::obs::MetricsRegistry::global().counter(name).value();
 }
 
 std::string slurp(const std::string& path) {
@@ -119,24 +111,6 @@ TEST(Streaming, DecodeModeMatchesOracleWithFovAndStride) {
   EXPECT_EQ(diff_decode_drive(result, reference), "");
 }
 
-TEST(Streaming, DecodeModeWindowSizeIsIrrelevant) {
-  // The contract: decode mode equals the reference at EVERY window size.
-  const auto world = make_world();
-  const auto drive = default_drive();
-  const auto cfg = fast_config();
-  const auto reference =
-      oracle::decode_drive(world, drive, {0.0, 0.0}, cfg);
-  for (const std::size_t window : {0ul, 1ul, 3ul, 1000ul}) {
-    rp::StreamingOptions opts;
-    opts.window_frames = window;
-    rp::StreamingInterrogator engine(cfg, world, drive, rs::Vec2{0.0, 0.0},
-                                     opts);
-    engine.push_all();
-    EXPECT_EQ(diff_decode_drive(engine.finalize_decode(), reference), "")
-        << "window " << window;
-  }
-}
-
 TEST(Streaming, FullModeMatchesBatchUnbounded) {
   const auto world = make_world();
   const auto drive = default_drive();
@@ -147,43 +121,14 @@ TEST(Streaming, FullModeMatchesBatchUnbounded) {
   ASSERT_EQ(report.tags.size(), 1u);
 }
 
-TEST(Streaming, FullModeWindowCoveringDriveMatchesBatch) {
+TEST(Streaming, FullModeEngineMatchesBatch) {
   const auto world = make_world();
   const auto drive = default_drive();
   const auto cfg = fast_config();
   const auto reference = oracle::interrogate(world, drive, cfg);
-  rp::StreamingOptions opts;
-  opts.window_frames = 100000;  // >= n_frames: nothing ever evicted
-  rp::StreamingInterrogator engine(cfg, world, drive, opts);
+  rp::StreamingInterrogator engine(cfg, world, drive);
   engine.push_all();
   EXPECT_EQ(diff_report(engine.finalize_report(), reference), "");
-}
-
-TEST(Streaming, BoundedWindowReportCoversExactlySurvivors) {
-  // A bounded window lawfully degrades: the report covers the last
-  // `window` frames only, and its clusters are exactly what batch
-  // clustering of those surviving points produces.
-  const auto world = make_world();
-  const auto drive = default_drive();
-  const auto cfg = fast_config();
-  rp::StreamingOptions opts;
-  opts.window_frames = 20;
-  rp::StreamingInterrogator engine(cfg, world, drive, opts);
-  engine.push_all();
-  const auto stream = engine.finalize_report();
-  ASSERT_GT(stream.n_frames, opts.window_frames);
-  for (const auto& p : stream.cloud.points) {
-    EXPECT_GE(p.frame, stream.n_frames - opts.window_frames);
-  }
-  // Re-cluster the surviving cloud from scratch with batch DBSCAN.
-  const auto reclustered = rp::filter_dense(
-      rp::extract_clusters(stream.cloud, cfg.dbscan),
-      cfg.tag_detector.min_density, cfg.tag_detector.min_points);
-  ASSERT_EQ(stream.clusters.size(), reclustered.size());
-  for (std::size_t i = 0; i < reclustered.size(); ++i) {
-    EXPECT_EQ(diff_cluster(stream.clusters[i], reclustered[i]), "")
-        << "cluster " << i;
-  }
 }
 
 TEST(Streaming, ParallelDriverMatchesOracleAtEveryThreadCount) {
@@ -294,89 +239,6 @@ TEST(Streaming, PrefixConsistencySamplesArePrefixes) {
   }
 }
 
-TEST(Streaming, EarlyEmitEqualsFinalDecodeBitForBit) {
-  const auto world = make_world();
-  const auto drive = default_drive();
-  auto cfg = fast_config();
-  cfg.decode_fov_rad = ros::common::deg_to_rad(60.0);
-  rp::StreamingOptions opts;
-  opts.early_emit = true;
-
-  const std::uint64_t mismatches_before =
-      counter("pipeline.stream.emit_mismatch");
-  const std::uint64_t emits_before =
-      counter("pipeline.stream.early_emits");
-
-  rp::StreamingInterrogator engine(cfg, world, drive, rs::Vec2{0.0, 0.0},
-                                   opts);
-  engine.push_all();
-  ASSERT_TRUE(engine.has_emitted());
-  // The drive exits the 60 deg FoV well before its end.
-  EXPECT_LT(engine.emit_frame() + 1, engine.n_frames());
-  const rt::DecodeResult emitted = engine.emitted_decode();
-
-  const auto final_result = engine.finalize_decode();
-  EXPECT_EQ(diff_decode(emitted, final_result.decode), "");
-  EXPECT_EQ(counter("pipeline.stream.emit_mismatch"), mismatches_before);
-  EXPECT_EQ(counter("pipeline.stream.early_emits"), emits_before + 1);
-
-  // And the emitted read equals the serial reference read.
-  const auto reference =
-      oracle::decode_drive(world, drive, {0.0, 0.0}, cfg);
-  EXPECT_EQ(diff_decode(emitted, reference.decode), "");
-}
-
-TEST(Streaming, EarlyEmitCanStopConsumingAtEmitFrame) {
-  // The point of early emit: the consumer may stop right after the
-  // emission and still hold the final (reference-identical) readout.
-  const auto world = make_world();
-  const auto drive = default_drive();
-  auto cfg = fast_config();
-  cfg.decode_fov_rad = ros::common::deg_to_rad(60.0);
-  rp::StreamingOptions opts;
-  opts.early_emit = true;
-
-  rp::StreamingInterrogator engine(cfg, world, drive, rs::Vec2{0.0, 0.0},
-                                   opts);
-  std::size_t i = 0;
-  while (i < engine.n_frames() && !engine.has_emitted()) {
-    engine.push_frame(i++);
-  }
-  ASSERT_TRUE(engine.has_emitted());
-  const auto reference =
-      oracle::decode_drive(world, drive, {0.0, 0.0}, cfg);
-  EXPECT_EQ(diff_decode(engine.emitted_decode(), reference.decode), "");
-  (void)engine.finalize_decode();  // still clean after a partial feed
-}
-
-TEST(Streaming, EarlyEmitGateStaysClosedWithoutFov) {
-  // No FoV truncation -> the series is never provably final -> the
-  // engine must never emit early (it would be a retraction risk).
-  const auto world = make_world();
-  const auto drive = default_drive();
-  const auto cfg = fast_config();  // decode_fov_rad = 0
-  rp::StreamingOptions opts;
-  opts.early_emit = true;
-  rp::StreamingInterrogator engine(cfg, world, drive, rs::Vec2{0.0, 0.0},
-                                   opts);
-  engine.push_all();
-  EXPECT_FALSE(engine.has_emitted());
-  const auto out = engine.finalize_decode();
-  EXPECT_EQ(out.decode.bits,
-            (std::vector<bool>{true, false, true, true}));
-}
-
-TEST(Streaming, EmitAccessorsThrowBeforeEmission) {
-  const auto world = make_world();
-  const auto drive = default_drive();
-  rp::StreamingInterrogator engine(fast_config(), world, drive,
-                                   rs::Vec2{0.0, 0.0});
-  EXPECT_FALSE(engine.has_emitted());
-  EXPECT_ANY_THROW((void)engine.emit_frame());
-  EXPECT_ANY_THROW((void)engine.emitted_decode());
-  (void)engine.finalize_decode();
-}
-
 TEST(Streaming, RetainSamplesOffDropsOutputButNotDecode) {
   const auto world = make_world();
   const auto drive = default_drive();
@@ -394,7 +256,7 @@ TEST(Streaming, RetainSamplesOffDropsOutputButNotDecode) {
   EXPECT_EQ(stream.mean_rss_dbm, reference.mean_rss_dbm);
 }
 
-// --- probe-armed early-emit capture ---------------------------------
+// --- probe-armed capture -------------------------------------------
 
 class StreamingProbeTest : public ::testing::Test {
  protected:
@@ -411,32 +273,6 @@ class StreamingProbeTest : public ::testing::Test {
   }
   std::string root_;
 };
-
-TEST_F(StreamingProbeTest, EarlyEmitPathCapturesProvenanceBundle) {
-  probe::set_mode(probe::Mode::always);
-  const auto world = make_world();
-  const auto drive = default_drive();
-  auto cfg = fast_config();
-  cfg.decode_fov_rad = ros::common::deg_to_rad(60.0);
-  rp::StreamingOptions opts;
-  opts.early_emit = true;
-  rp::StreamingInterrogator engine(cfg, world, drive, rs::Vec2{0.0, 0.0},
-                                   opts);
-  engine.push_all();
-  const auto stream = engine.finalize_decode();
-  probe::set_mode(probe::Mode::off);
-  ASSERT_FALSE(stream.decode.bits.empty());
-
-  const std::string path = probe::last_bundle_path();
-  ASSERT_FALSE(path.empty()) << "early-emit read wrote no bundle";
-  const std::string bundle = slurp(path);
-  // The bundle records the decode-mode read kind, the early-emit funnel
-  // stage, and the emit-time artifacts.
-  EXPECT_NE(bundle.find("\"kind\":\"decode_drive\""), std::string::npos);
-  EXPECT_NE(bundle.find("early_emit"), std::string::npos);
-  EXPECT_NE(bundle.find("emit_frame"), std::string::npos);
-  EXPECT_NE(bundle.find("bit_margins"), std::string::npos);
-}
 
 TEST_F(StreamingProbeTest, DecodeDriveRangeFftArtifactMatchesOracleProfiles) {
   // Decode mode retains no profiles; the engine builds the range_fft

@@ -213,16 +213,15 @@ TEST(ZeroAlloc, StreamingDecodeLoopStaysInsideBatchBudget) {
   if (!ros::obs::alloc_counting_enabled()) {
     GTEST_SKIP() << "ROS_OBS_COUNT_ALLOCS is off";
   }
-  // The soak configuration of the engine (early emit armed, no retained
-  // sample list) carries the SAME frame-loop budget as decode_drive:
-  // sample/series storage is reserved up front.
+  // The soak configuration of the engine (no retained sample list)
+  // carries the SAME frame-loop budget as decode_drive: sample/series
+  // storage is reserved up front.
   const auto world = make_world();
   const auto drive = short_drive();
   rp::InterrogatorConfig cfg;
   cfg.frame_stride = 10;
   cfg.decode_fov_rad = 1.0;
-  const rp::StreamingOptions opts{.early_emit = true,
-                                  .retain_samples = false};
+  const rp::StreamingOptions opts{.retain_samples = false};
 
   const auto run = [&] {
     rp::StreamingInterrogator engine(cfg, world, drive,
@@ -239,35 +238,6 @@ TEST(ZeroAlloc, StreamingDecodeLoopStaysInsideBatchBudget) {
   EXPECT_TRUE(steady.samples.empty());
   EXPECT_LE(gauge("decode_drive.frame_loop.allocs_per_frame"), 16.0)
       << "streaming decode allocates per frame beyond its output profile";
-}
-
-TEST(ZeroAlloc, StreamingFullLoopAllocsAreBounded) {
-  if (!ros::obs::alloc_counting_enabled()) {
-    GTEST_SKIP() << "ROS_OBS_COUNT_ALLOCS is off";
-  }
-  // Full mode with a bounded window: eviction recycles DBSCAN grid
-  // cells and window slots, so the loop stays O(1) per frame.
-  const auto world = make_world();
-  const auto drive = short_drive();
-  rp::InterrogatorConfig cfg;
-  cfg.frame_stride = 10;
-  const rp::StreamingOptions opts{.window_frames = 16};
-
-  const auto run = [&] {
-    rp::StreamingInterrogator engine(cfg, world, drive, opts);
-    engine.push_all();
-    return engine.finalize_report();
-  };
-  warm_every_executor(cfg, world, /*full_mode=*/true);
-  (void)run();
-  const std::uint64_t grows_before = arena_grows();
-  (void)run();
-  EXPECT_EQ(arena_grows(), grows_before)
-      << "steady-state streaming interrogation grew a scratch arena";
-  // Same shape as the interrogate budget (two retained profiles plus
-  // detection output per frame) with a small incremental-DBSCAN
-  // surcharge (grid-cell vectors as new eps-cells come alive).
-  EXPECT_LE(gauge("interrogate.frame_loop.allocs_per_frame"), 80.0);
 }
 
 TEST(ZeroAlloc, BudgetsHoldWithProvenanceProbeArmed) {

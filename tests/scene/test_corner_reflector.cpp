@@ -1,4 +1,4 @@
-#include "ros/scene/corner_reflector.hpp"
+#include "../support/corner_reflector.hpp"
 
 #include <gtest/gtest.h>
 
